@@ -6,6 +6,8 @@ The decision layer sits on three mechanisms:
   decides when two projective-bundle (generalized Bott) classes coincide.
   The degree-1 coefficient of the defining identity forces the shift w, so
   the decision is a two-branch check, complete and terminating.
+  ``tilde_canonical`` is its complete invariant: a canonical representative
+  of the orbit, so equal invariants mean equivalent vectors and vice versa.
 * the (s, r) fold: a non-Bott normalized pair is determined by the count s of
   value-2 entries and the count r of value-1 entries; a class and its fold
   (s -> len+1-s, r -> len+1-r) are homeomorphic, everything else with the
@@ -18,8 +20,10 @@ The decision layer sits on three mechanisms:
   the class of a = (2), b = (1, 0, ..., 0).
 
 Class labels compare semantically: ``HomeoClass`` equality is "the manifolds
-are homeomorphic", with Bott labels compared lazily through ``tilde_equiv``
-rather than through a canonical orbit representative.
+are homeomorphic", decided pairwise by ``same_class`` with Bott labels
+compared through ``tilde_equiv``.  ``enumerate_classes`` does not compare
+pairwise: it groups labels by an exact key built on ``tilde_canonical``,
+equal exactly when ``same_class`` says the labels are equal.
 """
 
 from __future__ import annotations
@@ -28,11 +32,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .polyring import trunc_product_identity
-from .quasitoric import CharPair, all_char_pairs, normalize, validate
+from .quasitoric import CharPair, admissible_char_pairs, normalize, validate
 
 __all__ = [
     "HomeoClass",
     "tilde_equiv",
+    "tilde_canonical",
     "canonical_class",
     "same_class",
     "homeomorphic",
@@ -78,6 +83,34 @@ def tilde_equiv(u: Tuple[int, ...], u_prime: Tuple[int, ...], ell: int) -> bool:
             if trunc_product_identity(u, u_prime, eps, w, ell):
                 return True
     return False
+
+
+def tilde_canonical(u: Tuple[int, ...], ell: int) -> Tuple[int, ...]:
+    """Complete invariant of ``tilde_equiv``: equal for u and u' exactly
+    when ``tilde_equiv(u, u', ell)`` holds.
+
+    The equivalence is the orbit relation of the infinite dihedral group on
+    truncated series S(x) = prod(1 + u_i x) mod x^(ell+1): the shift w sends
+    S(x) to (1 + wx)^(k+1) * S(x / (1 + wx)), which for S = P_v is
+    (1 + wx) * prod(1 + (v_i + w)x), and the flip sends S(x) to S(-x).  A
+    shift adds (k+1)*w to the x-coefficient, so for each flip v = eps*u one
+    shift w = -floor(sum(v) / (k+1)) puts it in [0, k]; the smaller of the
+    two resulting coefficient tuples is the orbit's representative.
+    """
+    k = len(u)
+    if k < 1:
+        raise ValueError("vector must have positive length")
+    if ell < 1:
+        raise ValueError("truncation order must be at least 1")
+    candidates = []
+    for eps in (1, -1):
+        w = -((eps * sum(u)) // (k + 1))
+        coeffs = [1] + [0] * ell
+        for c in [w] + [eps * x + w for x in u]:
+            for i in range(ell, 0, -1):
+                coeffs[i] += c * coeffs[i - 1]
+        candidates.append(tuple(coeffs))
+    return min(candidates)
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,31 +368,28 @@ def homeomorphic(cp1: CharPair, cp2: CharPair) -> Tuple[bool, str]:
     return same_class(canonical_class(cp1), canonical_class(cp2))
 
 
-def _dedup_key(c: HomeoClass) -> Tuple:
-    """A conservative bucket key: labels with distinct keys are never equal.
+def _class_key(c: HomeoClass) -> Tuple:
+    """An exact key: two labels have equal keys exactly when ``same_class``
+    says they are equal.
 
-    Non-Bott labels are exact, so their fields form the key.  Bott labels
-    bucket by bundle side and by the residue of the vector sum up to sign,
-    which is preserved by the truncated-product equivalence at any order;
-    vectors equivalent to zero all land in the product bucket.
+    Non-Bott labels are exact, so their fields form the key.  A Bott label
+    is read as a bundle on the side ``same_class`` reads it (the a side
+    whenever possible) and keyed by the ``tilde_canonical`` series of its
+    vector; vectors equivalent to zero, whose series is 1, all take the
+    product key, which both sides share.
     """
+    base = (c.n, c.m)
     if c.family == "nonbott":
-        return ("nb", c.s, c.r, c.orientation)
-    if c.family in ("connsum-plus", "special-m21"):
-        return ("fam", c.family)
-    if c.family == "product":
-        return ("bott-product",)
-    if c.family == "connsum-minus":
-        vec, side, ell = (1,), "n", c.n
-    elif c.family == "bott-base-n":
-        vec, side, ell = c.vec, "n", c.n
-    else:
-        vec, side, ell = c.vec, "m", c.m
-    if tilde_equiv(vec, (0,) * len(vec), ell):
-        return ("bott-product",)
-    k1 = len(vec) + 1
-    su = sum(vec) % k1
-    return ("bott", side, min(su, (k1 - su) % k1))
+        return base + ("nb", c.s, c.r, c.orientation)
+    if is_nonbott_class(c):
+        return base + ("fam", c.family)
+    vec, side, ell = _n_side_vector(c), "n", c.n
+    if vec is None:
+        vec, side, ell = _m_side_vector(c), "m", c.m
+    series = tilde_canonical(vec, ell)
+    if series == (1,) + (0,) * ell:
+        return base + ("bott-product",)
+    return base + ("bott", side, series)
 
 
 def enumerate_classes(n: int, m: int, bound: int) -> List[HomeoClass]:
@@ -377,24 +407,14 @@ def enumerate_classes(n: int, m: int, bound: int) -> List[HomeoClass]:
         raise ValueError("need n >= m >= 1")
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    kept: List[HomeoClass] = []
-    buckets: Dict[Tuple, List[int]] = {}
-    for cp in all_char_pairs(n, m, bound):
-        if not validate(cp):
-            continue
+    best: Dict[Tuple, HomeoClass] = {}
+    for cp in admissible_char_pairs(n, m, bound):
         c = canonical_class(cp)
-        key = _dedup_key(c)
-        indices = buckets.setdefault(key, [])
-        for i in indices:
-            if same_class(kept[i], c)[0]:
-                if c.sort_key() < kept[i].sort_key():
-                    kept[i] = c
-                break
-        else:
-            indices.append(len(kept))
-            kept.append(c)
-    kept.sort(key=HomeoClass.sort_key)
-    return kept
+        key = _class_key(c)
+        kept = best.get(key)
+        if kept is None or c.sort_key() < kept.sort_key():
+            best[key] = c
+    return sorted(best.values(), key=HomeoClass.sort_key)
 
 
 def count_nonbott(n: int, m: int) -> int:

@@ -31,6 +31,7 @@ from .classify import (
 )
 from .oracle import (
     WITNESS_FAMILIES,
+    WITNESS_PARAMS,
     builtin_witness,
     ring_iso_search,
     witness_check,
@@ -273,6 +274,8 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_oracle_iso(args) -> int:
+    if args.bound < 0:
+        raise UsageError("--bound must be nonnegative")
     cp1, cp2 = _read_two_pairs(args.inputs)
     _require_valid(cp1)
     _require_valid(cp2)
@@ -302,6 +305,12 @@ def cmd_oracle_iso(args) -> int:
 
 
 def cmd_witness_check(args) -> int:
+    missing = [p for p in WITNESS_PARAMS[args.family] if getattr(args, p) is None]
+    if missing:
+        raise UsageError(
+            "--family %s needs %s"
+            % (args.family, ", ".join("--" + p for p in missing))
+        )
     try:
         u, u_prime, witness = builtin_witness(
             args.family,

@@ -28,8 +28,9 @@ classify module, and no verification is faked for them here.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .lattice import IntMatrix, determinant, lattice_equal
 from .polyring import ideal_degree_lattice, substitute_linear
@@ -43,9 +44,16 @@ __all__ = [
     "witness_check",
     "builtin_witness",
     "WITNESS_FAMILIES",
+    "WITNESS_PARAMS",
 ]
 
-WITNESS_FAMILIES = ("repeat-fill", "fold-r", "fold-s")
+# the parameters besides n that each certificate family cannot do without
+WITNESS_PARAMS = {
+    "repeat-fill": ("a", "b"),
+    "fold-r": ("m", "s", "r"),
+    "fold-s": ("m", "s", "r"),
+}
+WITNESS_FAMILIES = tuple(WITNESS_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -114,11 +122,13 @@ class MonomialWitness:
         }
 
 
-def _candidate_matrices(bound: int) -> List[IntMatrix]:
+@functools.lru_cache(maxsize=8)
+def _candidate_matrices(bound: int) -> Tuple[IntMatrix, ...]:
     """All 2x2 matrices with |entries| <= bound and det +-1, identity first,
     then ascending by (max |entry|, flattened entries); g and -g are the same
     substitution up to sign, so only the copy whose first nonzero entry is
-    positive is kept."""
+    positive is kept.  The list depends on the bound alone, so it is built
+    once per bound and shared by every search."""
     seen = set()
     rest = []
     values = range(-bound, bound + 1)
@@ -137,11 +147,11 @@ def _candidate_matrices(bound: int) -> List[IntMatrix]:
                     seen.add(flat)
                     rest.append(flat)
     if bound < 1:
-        return []
+        return ()
     identity = (1, 0, 0, 1)
     rest.sort(key=lambda f: (max(abs(x) for x in f), f))
     ordered = [identity] + [f for f in rest if f != identity]
-    return [IntMatrix.from_rows([[f[0], f[1]], [f[2], f[3]]]) for f in ordered]
+    return tuple(IntMatrix.from_rows([[f[0], f[1]], [f[2], f[3]]]) for f in ordered)
 
 
 def ring_iso_search(p: Presentation, q: Presentation, bound: int = 3) -> IsoVerdict:

@@ -46,6 +46,7 @@ __all__ = [
     "validate",
     "validate_bruteforce",
     "normalize",
+    "admissible_char_pairs",
     "is_generalized_bott",
     "cohomology_presentation",
     "graded_ranks",
@@ -91,7 +92,7 @@ class CharPair:
         if missing:
             raise ValueError(f"missing keys: {sorted(missing)}")
         n, m, a, b = obj["n"], obj["m"], obj["a"], obj["b"]
-        if not isinstance(n, int) or not isinstance(m, int):
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in (n, m)):
             raise ValueError("n and m must be integers")
         if not isinstance(a, list) or not isinstance(b, list):
             raise ValueError("a and b must be arrays")
@@ -367,3 +368,32 @@ def all_char_pairs(n: int, m: int, bound: int) -> Iterable[CharPair]:
     for a in itertools.combinations_with_replacement(sorted(values, reverse=True), m):
         for b in itertools.combinations_with_replacement(sorted(values, reverse=True), n):
             yield CharPair(n, m, tuple(a), tuple(b))
+
+
+def admissible_char_pairs(n: int, m: int, bound: int) -> Iterable[CharPair]:
+    """The valid pairs of ``all_char_pairs(n, m, bound)``, in the same order,
+    built directly instead of filtered.
+
+    Since every a_j * b_i lies in {0, 2}, a valid pair has one of three
+    shapes: a = 0 with any b; b = 0 with any a; or every nonzero a_j equal to
+    one alpha in {+-1, +-2} and every nonzero b_i equal to 2 / alpha.
+    """
+    values = sorted(range(-bound, bound + 1), reverse=True)
+    zero_b = (0,) * n
+    for a in itertools.combinations_with_replacement(values, m):
+        nonzero = set(a) - {0}
+        if not nonzero:
+            for b in itertools.combinations_with_replacement(values, n):
+                yield CharPair(n, m, a, b)
+            continue
+        partners = [zero_b]
+        if len(nonzero) == 1:
+            (alpha,) = nonzero
+            beta = 2 // alpha
+            if alpha * beta == 2 and abs(beta) <= bound:
+                # b sorted descending: beta entries lead when positive
+                for q in range(1, n + 1):
+                    run, rest = (beta,) * q, (0,) * (n - q)
+                    partners.append(run + rest if beta > 0 else rest + run)
+        for b in sorted(partners, reverse=True):
+            yield CharPair(n, m, a, b)

@@ -7,15 +7,22 @@ from hypothesis import given, settings, strategies as st
 
 from qtoric.classify import (
     HomeoClass,
+    _class_key,
     canonical_class,
     count_nonbott,
     enumerate_classes,
     homeomorphic,
     is_nonbott_class,
     same_class,
+    tilde_canonical,
     tilde_equiv,
 )
-from qtoric.quasitoric import CharPair, validate
+from qtoric.quasitoric import (
+    CharPair,
+    admissible_char_pairs,
+    all_char_pairs,
+    validate,
+)
 
 
 @st.composite
@@ -126,6 +133,57 @@ class TestTildeEquiv:
             tilde_equiv((1,), (1, 2), 1)
         with pytest.raises(ValueError):
             tilde_equiv((1,), (1,), 0)
+
+
+class TestTildeCanonical:
+    def test_agrees_with_tilde_equiv_exhaustive(self):
+        checked = 0
+        for k in range(1, 4):
+            vectors = list(itertools.product(range(-3, 4), repeat=k))
+            for ell in range(1, 5):
+                keys = {u: tilde_canonical(u, ell) for u in vectors}
+                for u, v in itertools.product(vectors, repeat=2):
+                    assert (keys[u] == keys[v]) == tilde_equiv(u, v, ell), (u, v, ell)
+                    checked += 1
+        assert checked == 480396
+
+    @settings(max_examples=300)
+    @given(
+        vecs=st.integers(1, 5).flatmap(
+            lambda k: st.tuples(
+                *(
+                    st.lists(st.integers(-12, 12), min_size=k, max_size=k).map(tuple)
+                    for _ in range(2)
+                )
+            )
+        ),
+        ell=st.integers(1, 6),
+    )
+    def test_agrees_with_tilde_equiv_sampled(self, vecs, ell):
+        u, v = vecs
+        same = tilde_canonical(u, ell) == tilde_canonical(v, ell)
+        assert same == tilde_equiv(u, v, ell)
+
+    @given(
+        u=st.lists(st.integers(-12, 12), min_size=1, max_size=5),
+        ell=st.integers(1, 6),
+        data=st.data(),
+    )
+    def test_invariant_under_flip_and_permutation(self, u, ell, data):
+        eps = data.draw(st.sampled_from([1, -1]))
+        moved = tuple(eps * x for x in data.draw(st.permutations(u)))
+        assert tilde_canonical(moved, ell) == tilde_canonical(tuple(u), ell)
+
+    def test_zero_vector_series_is_one(self):
+        for k in range(1, 4):
+            for ell in range(1, 5):
+                assert tilde_canonical((0,) * k, ell) == (1,) + (0,) * ell
+
+    def test_argument_validation(self):
+        with pytest.raises(ValueError):
+            tilde_canonical((), 1)
+        with pytest.raises(ValueError):
+            tilde_canonical((1,), 0)
 
 
 class TestCanonicalClass:
@@ -347,11 +405,46 @@ class TestEnumerate:
             assert validate(c.representative)
             assert canonical_class(c.representative) == c
 
+    def test_matches_pairwise_reference(self):
+        for n, m, bound in itertools.product(range(1, 5), range(1, 5), range(4)):
+            if n < m:
+                continue
+            got = [c.to_json_dict() for c in enumerate_classes(n, m, bound)]
+            expected = [c.to_json_dict() for c in _pairwise_classes(n, m, bound)]
+            assert got == expected, (n, m, bound)
+
+    def test_class_key_is_exact(self):
+        labels = {}
+        for n, m in itertools.product(range(1, 4), repeat=2):
+            for cp in admissible_char_pairs(n, m, 3):
+                c = canonical_class(cp)
+                labels[c.sort_key()] = c
+        for c1, c2 in itertools.product(labels.values(), repeat=2):
+            assert (_class_key(c1) == _class_key(c2)) == same_class(c1, c2)[0]
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             enumerate_classes(1, 2, 2)
         with pytest.raises(ValueError):
             enumerate_classes(2, 2, -1)
+
+
+def _pairwise_classes(n, m, bound):
+    """enumerate_classes spelled out with pairwise ``same_class`` scans over
+    every pair that passes ``validate``, keeping the smallest sort key."""
+    kept = []
+    for cp in all_char_pairs(n, m, bound):
+        if not validate(cp):
+            continue
+        c = canonical_class(cp)
+        for i, other in enumerate(kept):
+            if same_class(other, c)[0]:
+                if c.sort_key() < other.sort_key():
+                    kept[i] = c
+                break
+        else:
+            kept.append(c)
+    return sorted(kept, key=HomeoClass.sort_key)
 
 
 class TestCountNonbott:

@@ -68,6 +68,14 @@ class TestValidate:
         assert code == 2
         assert "cannot read" in err
 
+    def test_boolean_dimension_rejected(self, capsys, monkeypatch):
+        doc = json.dumps({"n": True, "m": 1, "a": [2], "b": [1]})
+        monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+        code, out, err = run_cli(["classify", "-"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_tsv(self, tmp_path, capsys):
         path = write_pair(tmp_path, "p.json", 2, 1, (2,), (1, 0))
         code, out, _ = run_cli(["validate", path, "--format", "tsv"], capsys)
@@ -238,6 +246,19 @@ class TestOracleIso:
         assert report["homeomorphic"] is False
         assert report["agreement"] is True
 
+    def test_negative_bound_is_usage_error(self, capsys, monkeypatch):
+        doc = json.dumps(
+            [
+                {"n": 2, "m": 2, "a": [2, 0], "b": [1, 0]},
+                {"n": 2, "m": 2, "a": [2, 2], "b": [1, 0]},
+            ]
+        )
+        monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+        code, out, err = run_cli(["oracle-iso", "-", "--bound", "-1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
 
 class TestWitnessCheck:
     def test_repeat_fill(self, capsys):
@@ -277,6 +298,25 @@ class TestWitnessCheck:
             capsys,
         )
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "family, present",
+        [
+            ("repeat-fill", []),
+            ("repeat-fill", ["--a", "1"]),
+            ("fold-r", []),
+            ("fold-r", ["--m", "2", "--s", "1"]),
+            ("fold-s", []),
+            ("fold-s", ["--s", "1", "--r", "1"]),
+        ],
+    )
+    def test_missing_parameters_are_usage_errors(self, capsys, family, present):
+        code, out, err = run_cli(
+            ["witness-check", "--family", family, "--n", "3"] + present, capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_unknown_family_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from qtoric.lattice import IntMatrix, lattice_equal
 from qtoric.oracle import (
     IsoVerdict,
+    _candidate_matrices,
     MonomialWitness,
     builtin_witness,
     ring_iso_search,
@@ -80,6 +81,15 @@ class TestRingIsoSearch:
         p = _presentation(1, 1, (0,), (0,))
         verdict = ring_iso_search(p, p, bound=0)
         assert verdict == IsoVerdict.none_within(0)
+
+    def test_candidate_list_cached_in_fixed_order(self):
+        for bound in (0, 1, 3, 5):
+            first = _candidate_matrices(bound)
+            assert _candidate_matrices(bound) is first
+            assert _candidate_matrices.__wrapped__(bound) == first
+        candidates = _candidate_matrices(3)
+        assert candidates[0] == IntMatrix.identity(2)
+        assert len(candidates) == len(set(candidates))
 
     def test_json_round_shapes(self):
         found = IsoVerdict.found_matrix(IntMatrix.identity(2))

@@ -8,6 +8,8 @@ from qtoric.lattice import is_basis_extendable, lattice_equal, lattice_from_gene
 from qtoric.quasitoric import (
     CharPair,
     NormalForm,
+    admissible_char_pairs,
+    all_char_pairs,
     characteristic_matrix,
     characteristic_matrix_grouped,
     cohomology_presentation,
@@ -271,6 +273,8 @@ class TestJson:
             {"n": 1, "m": 1, "a": [0.5], "b": [0]},
             {"n": 1, "m": 1, "a": [True], "b": [0]},
             {"n": 1, "m": 2, "a": [0], "b": [0, 0]},
+            {"n": True, "m": 1, "a": [2], "b": [1]},
+            {"n": 1, "m": True, "a": [2], "b": [1]},
         ],
     )
     def test_malformed_rejected(self, obj):
@@ -282,3 +286,12 @@ class TestJson:
             CharPair(1, 1, (0, 0), (0,))
         with pytest.raises(ValueError):
             CharPair(0, 1, (0,), ())
+
+
+class TestAdmissiblePairs:
+    def test_matches_filtered_enumeration(self):
+        for n, m, bound in itertools.product(range(1, 6), range(1, 6), range(4)):
+            expected = [p for p in all_char_pairs(n, m, bound) if validate(p)]
+            got = list(admissible_char_pairs(n, m, bound))
+            assert got == expected, (n, m, bound)
+            assert len(set(got)) == len(got)
