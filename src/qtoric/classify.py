@@ -19,11 +19,11 @@ The decision layer sits on three mechanisms:
   families are a connected sum of two copies of complex projective space and
   the class of a = (2), b = (1, 0, ..., 0).
 
-Class labels compare semantically: ``HomeoClass`` equality is "the manifolds
-are homeomorphic", decided pairwise by ``same_class`` with Bott labels
-compared through ``tilde_equiv``.  ``enumerate_classes`` does not compare
-pairwise: it groups labels by an exact key built on ``tilde_canonical``,
-equal exactly when ``same_class`` says the labels are equal.
+Class labels carry one complete key: ``HomeoClass.key`` is equal for two
+labels exactly when the manifolds are homeomorphic (Bott labels are keyed by
+the ``tilde_canonical`` series of their twisting vector), and labels compare
+and hash by it.  ``same_class`` is key equality plus the name of the rule
+that decides it; ``enumerate_classes`` groups labels by key.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .polyring import trunc_product_identity
+from .polyring import _trunc_linear_product, trunc_product_identity
 from .quasitoric import CharPair, admissible_char_pairs, normalize, validate
 
 __all__ = [
@@ -105,11 +105,9 @@ def tilde_canonical(u: Tuple[int, ...], ell: int) -> Tuple[int, ...]:
     candidates = []
     for eps in (1, -1):
         w = -((eps * sum(u)) // (k + 1))
-        coeffs = [1] + [0] * ell
-        for c in [w] + [eps * x + w for x in u]:
-            for i in range(ell, 0, -1):
-                coeffs[i] += c * coeffs[i - 1]
-        candidates.append(tuple(coeffs))
+        candidates.append(
+            _trunc_linear_product([w] + [eps * x + w for x in u], ell)
+        )
     return min(candidates)
 
 
@@ -128,9 +126,8 @@ class HomeoClass:
                      label and bridged through equality)
       special-m21    the odd-n class of a=(2), b=(1, 0, ..., 0)
 
-    Labels are equal exactly when the classes are homeomorphic; see
-    ``same_class``.  Instances are not hashable because equality is coarser
-    than the field tuple.
+    Labels are equal exactly when the classes are homeomorphic: they compare
+    and hash by ``key``, which is coarser than the field tuple.
     """
 
     family: str
@@ -142,18 +139,38 @@ class HomeoClass:
     vec: Optional[Tuple[int, ...]] = None
     representative: Optional[CharPair] = None
 
+    @property
+    def key(self) -> Tuple:
+        """The complete invariant: equal exactly when the classes are
+        homeomorphic.
+
+        Non-Bott labels are exact, so their fields form the key.  A Bott
+        label is keyed by the ``tilde_canonical`` series of its twisting
+        vector on its side; vectors equivalent to zero, whose series is 1,
+        all take the product key, which both sides share.
+        """
+        base = (self.n, self.m)
+        if self.family == "nonbott":
+            return base + ("nb", self.s, self.r, self.orientation)
+        if is_nonbott_class(self):
+            return base + ("fam", self.family)
+        side = _bott_side(self)
+        if side is None:
+            return base + ("bott-product",)
+        vec = (1,) if self.family == "connsum-minus" else self.vec
+        ell = self.m if side == "m" else self.n
+        series = tilde_canonical(vec, ell)
+        if series == (1,) + (0,) * ell:
+            return base + ("bott-product",)
+        return base + ("bott", side, series)
+
     def __eq__(self, other: object):
         if not isinstance(other, HomeoClass):
             return NotImplemented
-        return same_class(self, other)[0]
+        return self.key == other.key
 
-    def __ne__(self, other: object):
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
-
-    __hash__ = None  # semantic equality is coarser than structural equality
+    def __hash__(self) -> int:
+        return hash(self.key)
 
     def sort_key(self) -> Tuple:
         return (
@@ -192,40 +209,28 @@ def is_nonbott_class(c: HomeoClass) -> bool:
     return c.family in _NONBOTT_FAMILIES
 
 
-def _n_side_vector(c: HomeoClass) -> Optional[Tuple[int, ...]]:
-    """The class as a bundle twisted by an a-side vector, when readable that
-    way: returns the length-m vector or None."""
+def _bott_side(c: HomeoClass) -> Optional[str]:
+    """The side a Bott label's twisting vector sits on: "m" for a b-side
+    bundle over distinct dimensions, None for the product (either side), "n"
+    otherwise (over a square base the mirror is the same manifold, and
+    ``connsum-minus`` is the a = (1) bundle)."""
     if c.family == "product":
-        return (0,) * c.m
-    if c.family == "bott-base-n":
-        return c.vec
-    if c.family == "connsum-minus":
-        return (1,)
-    if c.family == "bott-base-m" and c.n == c.m:
-        # over a square base the mirror is the same manifold
-        return c.vec
-    return None
-
-
-def _m_side_vector(c: HomeoClass) -> Optional[Tuple[int, ...]]:
-    if c.family == "product":
-        return (0,) * c.n
-    if c.family == "bott-base-m":
-        return c.vec
-    if c.family == "bott-base-n" and c.n == c.m:
-        return c.vec
-    if c.family == "connsum-minus" and c.n == c.m:
-        return (1,)
-    return None
+        return None
+    if c.family == "bott-base-m" and c.n != c.m:
+        return "m"
+    return "n"
 
 
 def same_class(c1: HomeoClass, c2: HomeoClass) -> Tuple[bool, str]:
-    """Semantic comparison of two labels.
+    """Compare two labels and name the rule that decides the verdict.
 
-    Returns (equal, rule) where rule names the deciding principle:
+    Returns (equal, rule): equal is ``c1.key == c2.key``, and rule names the
+    deciding principle:
       base-polytope-mismatch   distinct (n, m): distinct rings over distinct
                                products of simplices
-      bott-vector-equivalence  same-side bundle comparison via tilde_equiv
+      bott-vector-equivalence  same-side bundles, equal when their twisting
+                               vectors have the same ``tilde_canonical``
+                               series
       bott-cross-base          opposite-side bundles; equal only if both are
                                the trivial product
       bott-vs-nonbott-ring     a Bott class never matches a non-Bott class
@@ -234,35 +239,18 @@ def same_class(c1: HomeoClass, c2: HomeoClass) -> Tuple[bool, str]:
       connected-sum-family     the m=1 special families compare by identity
     """
     if (c1.n, c1.m) != (c2.n, c2.m):
-        return False, "base-polytope-mismatch"
-    nb1 = is_nonbott_class(c1)
-    nb2 = is_nonbott_class(c2)
-    if nb1 != nb2:
-        return False, "bott-vs-nonbott-ring"
-    if nb1:
-        if c1.family != c2.family:
-            return False, "connected-sum-family"
-        if c1.family == "nonbott":
-            if c1.orientation != c2.orientation:
-                return False, "orientation-swap"
-            return (c1.s, c1.r) == (c2.s, c2.r), "sr-fold"
-        return True, "connected-sum-family"
-    # both generalized Bott classes
-    a1 = _n_side_vector(c1)
-    a2 = _n_side_vector(c2)
-    if a1 is not None and a2 is not None:
-        return tilde_equiv(a1, a2, c1.n), "bott-vector-equivalence"
-    b1 = _m_side_vector(c1)
-    b2 = _m_side_vector(c2)
-    if b1 is not None and b2 is not None:
-        return tilde_equiv(b1, b2, c1.m), "bott-vector-equivalence"
-    # opposite sides with n != m: both must be the trivial product
-    vn = a1 if a1 is not None else a2
-    vm = b1 if b1 is not None else b2
-    equal = tilde_equiv(vn, (0,) * c1.m, c1.n) and tilde_equiv(
-        vm, (0,) * c1.n, c1.m
-    )
-    return equal, "bott-cross-base"
+        rule = "base-polytope-mismatch"
+    elif is_nonbott_class(c1) != is_nonbott_class(c2):
+        rule = "bott-vs-nonbott-ring"
+    elif c1.family == c2.family == "nonbott":
+        rule = "orientation-swap" if c1.orientation != c2.orientation else "sr-fold"
+    elif is_nonbott_class(c1):
+        rule = "connected-sum-family"
+    elif {_bott_side(c1), _bott_side(c2)} == {"n", "m"}:
+        rule = "bott-cross-base"
+    else:
+        rule = "bott-vector-equivalence"
+    return c1.key == c2.key, rule
 
 
 def _fold(count: int, slots: int) -> int:
@@ -368,30 +356,6 @@ def homeomorphic(cp1: CharPair, cp2: CharPair) -> Tuple[bool, str]:
     return same_class(canonical_class(cp1), canonical_class(cp2))
 
 
-def _class_key(c: HomeoClass) -> Tuple:
-    """An exact key: two labels have equal keys exactly when ``same_class``
-    says they are equal.
-
-    Non-Bott labels are exact, so their fields form the key.  A Bott label
-    is read as a bundle on the side ``same_class`` reads it (the a side
-    whenever possible) and keyed by the ``tilde_canonical`` series of its
-    vector; vectors equivalent to zero, whose series is 1, all take the
-    product key, which both sides share.
-    """
-    base = (c.n, c.m)
-    if c.family == "nonbott":
-        return base + ("nb", c.s, c.r, c.orientation)
-    if is_nonbott_class(c):
-        return base + ("fam", c.family)
-    vec, side, ell = _n_side_vector(c), "n", c.n
-    if vec is None:
-        vec, side, ell = _m_side_vector(c), "m", c.m
-    series = tilde_canonical(vec, ell)
-    if series == (1,) + (0,) * ell:
-        return base + ("bott-product",)
-    return base + ("bott", side, series)
-
-
 def enumerate_classes(n: int, m: int, bound: int) -> List[HomeoClass]:
     """All homeomorphism classes realized by pairs with entries in
     [-bound, bound].
@@ -410,7 +374,7 @@ def enumerate_classes(n: int, m: int, bound: int) -> List[HomeoClass]:
     best: Dict[Tuple, HomeoClass] = {}
     for cp in admissible_char_pairs(n, m, bound):
         c = canonical_class(cp)
-        key = _class_key(c)
+        key = c.key
         kept = best.get(key)
         if kept is None or c.sort_key() < kept.sort_key():
             best[key] = c

@@ -279,9 +279,12 @@ def cmd_oracle_iso(args) -> int:
     cp1, cp2 = _read_two_pairs(args.inputs)
     _require_valid(cp1)
     _require_valid(cp2)
-    verdict = ring_iso_search(
-        cohomology_presentation(cp1), cohomology_presentation(cp2), args.bound
-    )
+    p1, p2 = cohomology_presentation(cp1), cohomology_presentation(cp2)
+    try:
+        verdict = ring_iso_search(p1, p2, args.bound)
+    except ValueError as exc:
+        # the two rings' generator degrees differ: nothing to search
+        raise UsageError(str(exc))
     homeo, rule = homeomorphic(cp1, cp2)
     report = verdict.to_json_dict()
     report["homeomorphic"] = homeo

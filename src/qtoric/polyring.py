@@ -7,20 +7,20 @@ x1^(d-i) * x2^i.  This convention is fixed once here and used everywhere; the
 two ring generators produced elsewhere are symmetric in the variables and
 would otherwise be easy to transpose.
 
-Truncated polynomials live in Z[x]/x^(ell+1) and keep exactly ell+1
-coefficients.
+Truncated products of linear factors prod(1 + c_i x) are expanded in
+Z[x]/x^(ell+1) as tuples of exactly ell+1 coefficients, index i holding the
+x^i coefficient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 from .lattice import IntMatrix, LatticeBasis, lattice_from_generators
 
 __all__ = [
     "HomogPoly",
-    "TruncPoly",
     "homog_mul",
     "homog_add",
     "homog_scale",
@@ -56,47 +56,6 @@ class HomogPoly:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-
-@dataclass(frozen=True)
-class TruncPoly:
-    """Element of Z[x]/x^(ell+1); coeffs[i] is the x^i coefficient."""
-
-    trunc: int
-    coeffs: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.trunc < 0:
-            raise ValueError("truncation order must be nonnegative")
-        if len(self.coeffs) != self.trunc + 1:
-            raise ValueError("coefficient vector must have length trunc + 1")
-
-    @classmethod
-    def one(cls, trunc: int) -> "TruncPoly":
-        return cls(trunc, (1,) + (0,) * trunc)
-
-    def mul(self, other: "TruncPoly") -> "TruncPoly":
-        if self.trunc != other.trunc:
-            raise ValueError("mixed truncation orders")
-        ell = self.trunc
-        out = [0] * (ell + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(0, ell + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return TruncPoly(ell, tuple(out))
-
-    def mul_linear(self, c: int) -> "TruncPoly":
-        """Multiply by (1 + c*x), the only factor shape needed here."""
-        ell = self.trunc
-        out = list(self.coeffs)
-        if c:
-            for i in range(ell, 0, -1):
-                out[i] += c * out[i - 1]
-        return TruncPoly(ell, tuple(out))
 
 
 def homog_mul(p: HomogPoly, q: HomogPoly) -> HomogPoly:
@@ -164,6 +123,16 @@ def substitute_linear(p: HomogPoly, g: IntMatrix) -> HomogPoly:
     return out
 
 
+def _trunc_linear_product(factors: Iterable[int], ell: int) -> Tuple[int, ...]:
+    """Coefficients of prod_c (1 + c*x) over ``factors`` in Z[x]/x^(ell+1)."""
+    coeffs = [1] + [0] * ell
+    for c in factors:
+        if c:
+            for i in range(ell, 0, -1):
+                coeffs[i] += c * coeffs[i - 1]
+    return tuple(coeffs)
+
+
 def trunc_product_identity(
     u: Sequence[int], u_prime: Sequence[int], eps: int, w: int, ell: int
 ) -> bool:
@@ -182,13 +151,11 @@ def trunc_product_identity(
         raise ValueError("eps must be +1 or -1")
     if ell < 1:
         raise ValueError("truncation order must be at least 1")
-    lhs = TruncPoly.one(ell)
-    for ui in u:
-        lhs = lhs.mul_linear(int(ui))
-    rhs = TruncPoly.one(ell).mul_linear(eps * w)
-    for vi in u_prime:
-        rhs = rhs.mul_linear(eps * (int(vi) + w))
-    return lhs.coeffs == rhs.coeffs
+    lhs = _trunc_linear_product([int(ui) for ui in u], ell)
+    rhs = _trunc_linear_product(
+        [eps * w] + [eps * (int(vi) + w) for vi in u_prime], ell
+    )
+    return lhs == rhs
 
 
 def ideal_degree_lattice(gens: Sequence[HomogPoly], d: int) -> LatticeBasis:

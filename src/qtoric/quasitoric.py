@@ -129,14 +129,6 @@ class NormalForm:
     def char_pair(self) -> CharPair:
         return CharPair(self.n, self.m, self.a, self.b)
 
-    @property
-    def count_twos(self) -> int:
-        return self.a.count(2) + self.b.count(2)
-
-    @property
-    def count_ones(self) -> int:
-        return self.a.count(1) + self.b.count(1)
-
 
 @dataclass(frozen=True)
 class Presentation:

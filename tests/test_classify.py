@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from qtoric.classify import (
     HomeoClass,
-    _class_key,
     canonical_class,
     count_nonbott,
     enumerate_classes,
@@ -295,10 +294,15 @@ class TestSameClass:
         assert rule == "bott-cross-base"
         assert not equal
 
-    def test_unhashable(self):
-        c = canonical_class(CharPair(1, 1, (0,), (0,)))
-        with pytest.raises(TypeError):
-            hash(c)
+    def test_equal_labels_hash_equal(self):
+        # the trivial segment bundle and the product: equal labels with
+        # different fields
+        bundle = canonical_class(CharPair(2, 1, (0,), (3, 0)))
+        prod = canonical_class(CharPair(2, 1, (0,), (0, 0)))
+        other = canonical_class(CharPair(2, 1, (2,), (1, 0)))
+        assert bundle.family != prod.family
+        assert bundle == prod and hash(bundle) == hash(prod)
+        assert len({bundle, prod, other}) == 2
 
     def test_comparison_with_other_types(self):
         c = canonical_class(CharPair(1, 1, (0,), (0,)))
@@ -420,7 +424,11 @@ class TestEnumerate:
                 c = canonical_class(cp)
                 labels[c.sort_key()] = c
         for c1, c2 in itertools.product(labels.values(), repeat=2):
-            assert (_class_key(c1) == _class_key(c2)) == same_class(c1, c2)[0]
+            expected = _reference_same_class(c1, c2)
+            assert same_class(c1, c2) == expected, (c1, c2)
+            assert (c1 == c2) == expected[0]
+            if expected[0]:
+                assert hash(c1) == hash(c2)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
@@ -430,21 +438,84 @@ class TestEnumerate:
 
 
 def _pairwise_classes(n, m, bound):
-    """enumerate_classes spelled out with pairwise ``same_class`` scans over
-    every pair that passes ``validate``, keeping the smallest sort key."""
+    """enumerate_classes spelled out with pairwise ``_reference_same_class``
+    scans over every pair that passes ``validate``, keeping the smallest sort
+    key."""
     kept = []
     for cp in all_char_pairs(n, m, bound):
         if not validate(cp):
             continue
         c = canonical_class(cp)
         for i, other in enumerate(kept):
-            if same_class(other, c)[0]:
+            if _reference_same_class(other, c)[0]:
                 if c.sort_key() < other.sort_key():
                     kept[i] = c
                 break
         else:
             kept.append(c)
     return sorted(kept, key=HomeoClass.sort_key)
+
+
+def _n_side_vector(c):
+    """The label as a bundle twisted by an a-side vector, when readable that
+    way: the length-m vector, or None."""
+    if c.family == "product":
+        return (0,) * c.m
+    if c.family == "bott-base-n":
+        return c.vec
+    if c.family == "connsum-minus":
+        return (1,)
+    if c.family == "bott-base-m" and c.n == c.m:
+        # over a square base the mirror is the same manifold
+        return c.vec
+    return None
+
+
+def _m_side_vector(c):
+    if c.family == "product":
+        return (0,) * c.n
+    if c.family == "bott-base-m":
+        return c.vec
+    if c.family == "bott-base-n" and c.n == c.m:
+        return c.vec
+    if c.family == "connsum-minus" and c.n == c.m:
+        return (1,)
+    return None
+
+
+def _reference_same_class(c1, c2):
+    """Pairwise label comparison, independent of ``HomeoClass.key``: Bott
+    labels are read as bundles on a common side and compared through
+    ``tilde_equiv``.  Returns (equal, rule) as ``same_class`` does."""
+    if (c1.n, c1.m) != (c2.n, c2.m):
+        return False, "base-polytope-mismatch"
+    nb1 = is_nonbott_class(c1)
+    nb2 = is_nonbott_class(c2)
+    if nb1 != nb2:
+        return False, "bott-vs-nonbott-ring"
+    if nb1:
+        if c1.family != c2.family:
+            return False, "connected-sum-family"
+        if c1.family == "nonbott":
+            if c1.orientation != c2.orientation:
+                return False, "orientation-swap"
+            return (c1.s, c1.r) == (c2.s, c2.r), "sr-fold"
+        return True, "connected-sum-family"
+    a1 = _n_side_vector(c1)
+    a2 = _n_side_vector(c2)
+    if a1 is not None and a2 is not None:
+        return tilde_equiv(a1, a2, c1.n), "bott-vector-equivalence"
+    b1 = _m_side_vector(c1)
+    b2 = _m_side_vector(c2)
+    if b1 is not None and b2 is not None:
+        return tilde_equiv(b1, b2, c1.m), "bott-vector-equivalence"
+    # opposite sides with n != m: both must be the trivial product
+    vn = a1 if a1 is not None else a2
+    vm = b1 if b1 is not None else b2
+    equal = tilde_equiv(vn, (0,) * c1.m, c1.n) and tilde_equiv(
+        vm, (0,) * c1.n, c1.m
+    )
+    return equal, "bott-cross-base"
 
 
 class TestCountNonbott:

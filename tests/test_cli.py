@@ -259,6 +259,21 @@ class TestOracleIso:
         assert out == ""
         assert err.startswith("error:")
 
+    def test_generator_degree_mismatch_is_usage_error(self, capsys, monkeypatch):
+        # generator degrees (4, 2) against (3, 3): no graded isomorphism to
+        # search for
+        doc = json.dumps(
+            [
+                {"n": 3, "m": 1, "a": [0], "b": [0, 0, 0]},
+                {"n": 2, "m": 2, "a": [0, 0], "b": [0, 0]},
+            ]
+        )
+        monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+        code, out, err = run_cli(["oracle-iso", "-"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
 
 class TestWitnessCheck:
     def test_repeat_fill(self, capsys):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from qtoric.lattice import IntMatrix, lattice_from_generators
 from qtoric.polyring import (
     HomogPoly,
-    TruncPoly,
     homog_add,
     homog_mul,
     ideal_degree_lattice,
@@ -189,8 +188,6 @@ class TestIdealDegreeLattice:
             assert big.contains(v)
 
 
-def test_truncpoly_shape_validation():
-    with pytest.raises(ValueError):
-        TruncPoly(2, (1, 0))
+def test_homogpoly_shape_validation():
     with pytest.raises(ValueError):
         HomogPoly(2, (1, 0))
