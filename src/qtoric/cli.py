@@ -91,6 +91,8 @@ def _read_pair(path: str) -> CharPair:
 
 
 def _read_two_pairs(paths: List[str]) -> tuple:
+    if len(paths) not in (1, 2):
+        raise UsageError("expected one or two inputs, got %d" % len(paths))
     if len(paths) == 1:
         doc = _read_document(paths[0])
         if not isinstance(doc, list) or len(doc) != 2:

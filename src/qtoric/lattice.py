@@ -114,9 +114,6 @@ class IntMatrix:
         )
         return IntMatrix(self.rows, other.cols, flat)
 
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        return self.mul(other)
-
 
 @dataclass(frozen=True)
 class LatticeBasis:
@@ -391,15 +388,12 @@ def smith_normal_form(m: IntMatrix) -> Tuple[Tuple[int, ...], IntMatrix, IntMatr
 
 def lattice_from_generators(ambient_dim: int, vectors: Iterable[Sequence[int]]) -> LatticeBasis:
     """Canonicalize a generating set into a :class:`LatticeBasis`."""
-    gens = [list(v) for v in vectors]
+    gens = [[int(x) for x in v] for v in vectors]
     for v in gens:
         if len(v) != ambient_dim:
             raise ValueError("generator length differs from ambient dimension")
-    if not gens:
-        return LatticeBasis(ambient_dim, ())
-    h, _ = hermite_normal_form(IntMatrix.from_rows(gens, cols=ambient_dim))
-    rows = [r for r in h.to_rows() if any(x != 0 for x in r)]
-    return LatticeBasis(ambient_dim, tuple(rows))
+    _hnf_rows(gens)
+    return LatticeBasis(ambient_dim, tuple(tuple(r) for r in gens if any(r)))
 
 
 def kernel_basis(m: IntMatrix) -> LatticeBasis:

@@ -129,7 +129,8 @@ def _candidate_matrices(bound: int) -> Tuple[IntMatrix, ...]:
     substitution up to sign, so only the copy whose first nonzero entry is
     positive is kept.  The list depends on the bound alone, so it is built
     once per bound and shared by every search."""
-    seen = set()
+    if bound < 1:
+        return ()
     rest = []
     values = range(-bound, bound + 1)
     for g11 in values:
@@ -137,17 +138,8 @@ def _candidate_matrices(bound: int) -> Tuple[IntMatrix, ...]:
             for g21 in values:
                 for g22 in values:
                     flat = (g11, g12, g21, g22)
-                    if g11 * g22 - g12 * g21 not in (1, -1):
-                        continue
-                    first = next(x for x in flat if x)
-                    if first < 0:
-                        flat = tuple(-x for x in flat)
-                    if flat in seen:
-                        continue
-                    seen.add(flat)
-                    rest.append(flat)
-    if bound < 1:
-        return ()
+                    if g11 * g22 - g12 * g21 in (1, -1) and next(x for x in flat if x) > 0:
+                        rest.append(flat)
     identity = (1, 0, 0, 1)
     rest.sort(key=lambda f: (max(abs(x) for x in f), f))
     ordered = [identity] + [f for f in rest if f != identity]
@@ -159,7 +151,7 @@ def ring_iso_search(p: Presentation, q: Presentation, bound: int = 3) -> IsoVerd
     presentations, over substitutions with entries bounded by ``bound``.
 
     The first working candidate in the fixed total order is returned, so the
-    result is deterministic regardless of any internal parallel split.
+    result is deterministic.
 
     Raises:
         ValueError: when the generator degree multisets disagree (no graded

@@ -7,6 +7,9 @@ x1^(d-i) * x2^i.  This convention is fixed once here and used everywhere; the
 two ring generators produced elsewhere are symmetric in the variables and
 would otherwise be easy to transpose.
 
+The multiplication kernels work on plain coefficient lists; each public
+function builds its checked :class:`HomogPoly` once, from the finished list.
+
 Truncated products of linear factors prod(1 + c_i x) are expanded in
 Z[x]/x^(ell+1) as tuples of exactly ell+1 coefficients, index i holding the
 x^i coefficient.
@@ -15,15 +18,13 @@ x^i coefficient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .lattice import IntMatrix, LatticeBasis, lattice_from_generators
 
 __all__ = [
     "HomogPoly",
     "homog_mul",
-    "homog_add",
-    "homog_scale",
     "linear_product",
     "substitute_linear",
     "trunc_product_identity",
@@ -54,31 +55,22 @@ class HomogPoly:
         c = tuple(int(x) for x in coeffs)
         return cls(len(c) - 1, c)
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+
+def _convolve(p: Sequence[int], q: Sequence[int]) -> List[int]:
+    """Coefficients of the product of two coefficient sequences."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a == 0:
+            continue
+        for j, b in enumerate(q):
+            if b:
+                out[i + j] += a * b
+    return out
 
 
 def homog_mul(p: HomogPoly, q: HomogPoly) -> HomogPoly:
     """Exact product; degree adds, coefficients convolve."""
-    d = p.degree + q.degree
-    out = [0] * (d + 1)
-    for i, a in enumerate(p.coeffs):
-        if a == 0:
-            continue
-        for j, b in enumerate(q.coeffs):
-            if b:
-                out[i + j] += a * b
-    return HomogPoly(d, tuple(out))
-
-
-def homog_add(p: HomogPoly, q: HomogPoly) -> HomogPoly:
-    if p.degree != q.degree:
-        raise ValueError("cannot add polynomials of different degrees")
-    return HomogPoly(p.degree, tuple(a + b for a, b in zip(p.coeffs, q.coeffs)))
-
-
-def homog_scale(c: int, p: HomogPoly) -> HomogPoly:
-    return HomogPoly(p.degree, tuple(c * a for a in p.coeffs))
+    return HomogPoly(p.degree + q.degree, tuple(_convolve(p.coeffs, q.coeffs)))
 
 
 def linear_product(lead: Tuple[int, int], factors: Sequence[Tuple[int, int]]) -> HomogPoly:
@@ -91,10 +83,10 @@ def linear_product(lead: Tuple[int, int], factors: Sequence[Tuple[int, int]]) ->
     Returns:
         HomogPoly of degree 1 + len(factors).
     """
-    acc = HomogPoly(1, (int(lead[0]), int(lead[1])))
+    acc = [int(lead[0]), int(lead[1])]
     for c, d in factors:
-        acc = homog_mul(acc, HomogPoly(1, (int(c), int(d))))
-    return acc
+        acc = _convolve(acc, (int(c), int(d)))
+    return HomogPoly(len(acc) - 1, tuple(acc))
 
 
 def substitute_linear(p: HomogPoly, g: IntMatrix) -> HomogPoly:
@@ -106,21 +98,20 @@ def substitute_linear(p: HomogPoly, g: IntMatrix) -> HomogPoly:
     if g.rows != 2 or g.cols != 2:
         raise ValueError("substitution matrix must be 2x2")
     d = p.degree
-    row1 = HomogPoly(1, (g.at(0, 0), g.at(0, 1)))
-    row2 = HomogPoly(1, (g.at(1, 0), g.at(1, 1)))
+    row1, row2 = g.row(0), g.row(1)
     # powers of the two substituted variables, degree 0..d each
-    pow1 = [HomogPoly(0, (1,))]
-    pow2 = [HomogPoly(0, (1,))]
+    pow1 = [[1]]
+    pow2 = [[1]]
     for _ in range(d):
-        pow1.append(homog_mul(pow1[-1], row1))
-        pow2.append(homog_mul(pow2[-1], row2))
-    out = HomogPoly(d, (0,) * (d + 1))
+        pow1.append(_convolve(pow1[-1], row1))
+        pow2.append(_convolve(pow2[-1], row2))
+    out = [0] * (d + 1)
     for i, a in enumerate(p.coeffs):
         if a == 0:
             continue
-        term = homog_scale(a, homog_mul(pow1[d - i], pow2[i]))
-        out = homog_add(out, term)
-    return out
+        for k, c in enumerate(_convolve(pow1[d - i], pow2[i])):
+            out[k] += a * c
+    return HomogPoly(d, tuple(out))
 
 
 def _trunc_linear_product(factors: Iterable[int], ell: int) -> Tuple[int, ...]:

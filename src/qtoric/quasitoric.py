@@ -352,19 +352,11 @@ def kernel_lattice(cp: CharPair) -> LatticeBasis:
     return kernel_basis(characteristic_matrix_grouped(cp))
 
 
-def all_char_pairs(n: int, m: int, bound: int) -> Iterable[CharPair]:
-    """Every characteristic pair with entries in [-bound, bound], one
-    representative per entry multiset (validity and every classification
-    output are invariant under entry permutation)."""
-    values = range(-bound, bound + 1)
-    for a in itertools.combinations_with_replacement(sorted(values, reverse=True), m):
-        for b in itertools.combinations_with_replacement(sorted(values, reverse=True), n):
-            yield CharPair(n, m, tuple(a), tuple(b))
-
-
 def admissible_char_pairs(n: int, m: int, bound: int) -> Iterable[CharPair]:
-    """The valid pairs of ``all_char_pairs(n, m, bound)``, in the same order,
-    built directly instead of filtered.
+    """Every valid characteristic pair with entries in [-bound, bound], one
+    representative per entry multiset (validity and every classification
+    output are invariant under entry permutation), with a and b each sorted
+    descending, listed by a and then b in descending lexicographic order.
 
     Since every a_j * b_i lies in {0, 2}, a valid pair has one of three
     shapes: a = 0 with any b; b = 0 with any a; or every nonzero a_j equal to

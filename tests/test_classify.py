@@ -19,9 +19,10 @@ from qtoric.classify import (
 from qtoric.quasitoric import (
     CharPair,
     admissible_char_pairs,
-    all_char_pairs,
     validate,
 )
+
+from pair_reference import filtered_admissible_pairs
 
 
 @st.composite
@@ -442,9 +443,7 @@ def _pairwise_classes(n, m, bound):
     scans over every pair that passes ``validate``, keeping the smallest sort
     key."""
     kept = []
-    for cp in all_char_pairs(n, m, bound):
-        if not validate(cp):
-            continue
+    for cp in filtered_admissible_pairs(n, m, bound):
         c = canonical_class(cp)
         for i, other in enumerate(kept):
             if _reference_same_class(other, c)[0]:

@@ -142,6 +142,15 @@ class TestCompare:
         code, _, err = run_cli(["compare", "-"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["compare", "oracle-iso"])
+    def test_third_input_rejected(self, tmp_path, capsys, command):
+        path = write_pair(tmp_path, "p.json", 2, 1, (2,), (1, 0))
+        missing = str(tmp_path / "missing.json")
+        code, out, err = run_cli([command, path, path, missing], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
 
 class TestEnumerate:
     def test_square_of_segments(self, capsys):

@@ -1,8 +1,13 @@
 """Tests for the brute-force isomorphism search and witness checking."""
 
+import ast
+import types
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qtoric import oracle, quasitoric
 from qtoric.lattice import IntMatrix, lattice_equal
 from qtoric.oracle import (
     IsoVerdict,
@@ -230,3 +235,25 @@ def test_search_agrees_with_direct_check(n, m, g11, g12):
     assert verdict.found
     dmax = max(n, m) + 1
     assert _ideals_match_through(p, q, verdict.matrix, dmax)
+
+
+def _global_names(code):
+    """Names a code object and the code nested in it look up."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _global_names(const)
+    return names
+
+
+def test_oracles_stay_independent_of_the_closed_form():
+    # an oracle that leans on the closed form it checks would agree with it
+    # by construction
+    imported = set()
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module)
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.name for alias in node.names)
+    assert not any("classify" in name.split(".") for name in imported)
+    assert "validate" not in _global_names(quasitoric.validate_bruteforce.__code__)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from qtoric.lattice import IntMatrix, lattice_from_generators
 from qtoric.polyring import (
     HomogPoly,
-    homog_add,
     homog_mul,
     ideal_degree_lattice,
     linear_product,
@@ -26,6 +25,8 @@ homog_polys = st.integers(0, 5).flatmap(
         HomogPoly.from_coeffs
     )
 )
+
+linear_forms = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
 
 two_by_two = st.lists(st.integers(-3, 3), min_size=4, max_size=4).map(
     lambda e: IntMatrix(2, 2, tuple(e))
@@ -72,6 +73,14 @@ class TestLinearProduct:
         # x2 * (2x1 + x2) * x2 = 2*x1*x2^2 + x2^3; the x2-exponent indexing
         # puts those coefficients at positions 2 and 3.
         assert linear_product((0, 1), [(2, 1), (0, 1)]).coeffs == (0, 0, 2, 1)
+
+    @given(linear_forms, st.lists(linear_forms, max_size=5))
+    @settings(max_examples=60)
+    def test_matches_sympy_expansion(self, lead, factors):
+        p = linear_product(lead, factors)
+        assert p.degree == 1 + len(factors)
+        direct = sp.prod([c * X1 + d * X2 for c, d in [lead] + factors])
+        assert sp.expand(direct - as_sympy(p)) == 0
 
 
 class TestSubstitute:

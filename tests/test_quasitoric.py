@@ -9,7 +9,6 @@ from qtoric.quasitoric import (
     CharPair,
     NormalForm,
     admissible_char_pairs,
-    all_char_pairs,
     characteristic_matrix,
     characteristic_matrix_grouped,
     cohomology_presentation,
@@ -22,6 +21,8 @@ from qtoric.quasitoric import (
     validate,
     validate_bruteforce,
 )
+
+from pair_reference import filtered_admissible_pairs
 
 
 def cp(n, m, a, b):
@@ -291,7 +292,7 @@ class TestJson:
 class TestAdmissiblePairs:
     def test_matches_filtered_enumeration(self):
         for n, m, bound in itertools.product(range(1, 6), range(1, 6), range(4)):
-            expected = [p for p in all_char_pairs(n, m, bound) if validate(p)]
+            expected = list(filtered_admissible_pairs(n, m, bound))
             got = list(admissible_char_pairs(n, m, bound))
             assert got == expected, (n, m, bound)
             assert len(set(got)) == len(got)
