@@ -23,7 +23,13 @@ Class labels carry one complete key: ``HomeoClass.key`` is equal for two
 labels exactly when the manifolds are homeomorphic (Bott labels are keyed by
 the ``tilde_canonical`` series of their twisting vector), and labels compare
 and hash by it.  ``same_class`` is key equality plus the name of the rule
-that decides it; ``enumerate_classes`` groups labels by key.
+that decides it.
+
+A label depends on the normal form alone: ``canonical_class`` is
+``normalize`` followed by ``_label``.  So ``enumerate_classes`` labels the
+normal forms that ``quasitoric.admissible_normal_forms`` lists directly,
+without building, checking or normalizing a pair, and groups the labels by
+key.
 """
 
 from __future__ import annotations
@@ -32,7 +38,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .polyring import _trunc_linear_product, trunc_product_identity
-from .quasitoric import CharPair, admissible_char_pairs, normalize, validate
+from .quasitoric import (
+    CharPair,
+    NormalForm,
+    admissible_normal_forms,
+    normalize,
+    validate,
+)
 
 __all__ = [
     "HomeoClass",
@@ -264,7 +276,12 @@ def canonical_class(cp: CharPair) -> HomeoClass:
     Raises:
         ValueError: when the pair is not valid.
     """
-    nf = normalize(cp)
+    return _label(normalize(cp))
+
+
+def _label(nf: NormalForm) -> HomeoClass:
+    """The homeomorphism-class label of a normal form; the label reads
+    nothing but the normal form."""
     n, m = nf.n, nf.m
     if nf.orientation == "bott":
         a_nonzero = any(nf.a)
@@ -360,20 +377,21 @@ def enumerate_classes(n: int, m: int, bound: int) -> List[HomeoClass]:
     """All homeomorphism classes realized by pairs with entries in
     [-bound, bound].
 
+    The labels are read off ``admissible_normal_forms``, one per normal form
+    of a valid pair within the bound, and grouped by ``HomeoClass.key``.
     The non-Bott portion is complete and bound-independent once bound >= 2
     (normalized entries are 0, 1, 2); the Bott portion is exhaustive only
     within the bound, since projective bundles form infinite families.
     Output order and chosen labels are deterministic and independent of
     generation order: within each class the label with the smallest sort key
     wins.
+
+    Raises:
+        ValueError: when n < m, m < 1 or bound < 0.
     """
-    if m < 1 or n < m:
-        raise ValueError("need n >= m >= 1")
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
     best: Dict[Tuple, HomeoClass] = {}
-    for cp in admissible_char_pairs(n, m, bound):
-        c = canonical_class(cp)
+    for nf in admissible_normal_forms(n, m, bound):
+        c = _label(nf)
         key = c.key
         kept = best.get(key)
         if kept is None or c.sort_key() < kept.sort_key():

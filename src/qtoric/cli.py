@@ -14,6 +14,9 @@ Characteristic pairs are read from a file path or from standard input when
 the path is "-", as JSON: {"n": int, "m": int, "a": [int]*m, "b": [int]*n}.
 Reports are JSON (default) or TSV via --format tsv; both are
 byte-deterministic for fixed inputs.
+
+Sizes are capped by ``SIZE_LIMITS`` before any work starts, so no input
+runs unbounded; a breach is a usage error.
 """
 
 from __future__ import annotations
@@ -50,6 +53,23 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INVALID = 3
 EXIT_INCONSISTENT = 4
+
+
+# The largest size each command accepts, by quantity; "n + m" is read from
+# the input pairs, the flags from the command line.  Each cap keeps its
+# command's worst case well under a second: the brute-force validity check
+# is O(nm (n+m)^3), graded ranks and ring lattices grow their coefficients
+# steeply above n + m = 14, enumeration visits about C(2 bound + n, n)
+# vectors, and the isomorphism search loops (2 bound + 1)^4 times to list
+# its candidates.
+SIZE_LIMITS = {
+    "validate": {"n + m": 32},
+    "cohomology": {"n + m": 14},
+    "kernel": {"n + m": 32},
+    "oracle-iso": {"n + m": 14, "--bound": 10},
+    "enumerate": {"--n": 8, "--bound": 5},  # --m is at most --n
+    "witness-check": {"--n": 32, "--m": 32},
+}
 
 
 class UsageError(Exception):
@@ -105,6 +125,19 @@ def _read_two_pairs(paths: List[str]) -> tuple:
     return _read_pair(paths[0]), _read_pair(paths[1])
 
 
+def _check_size(args, quantity: str, value: Optional[int]) -> None:
+    limit = SIZE_LIMITS[args.command][quantity]
+    if value is not None and value > limit:
+        raise UsageError(
+            "%s %s must be at most %d, got %d" % (args.command, quantity, limit, value)
+        )
+
+
+def _check_pair_sizes(args, *pairs: CharPair) -> None:
+    for cp in pairs:
+        _check_size(args, "n + m", cp.n + cp.m)
+
+
 def _require_valid(cp: CharPair) -> None:
     if not validate(cp):
         raise InvalidInputError(
@@ -155,6 +188,7 @@ _CLASS_TSV_HEADER = [
 
 def cmd_validate(args) -> int:
     cp = _read_pair(args.input)
+    _check_pair_sizes(args, cp)
     fast = validate(cp)
     slow = validate_bruteforce(cp)
     report = {"valid": fast, "oracle_valid": slow, "agreement": fast == slow}
@@ -199,6 +233,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    _check_size(args, "--n", args.n)
+    _check_size(args, "--bound", args.bound)
     try:
         classes = enumerate_classes(args.n, args.m, args.bound)
     except ValueError as exc:
@@ -233,6 +269,7 @@ def cmd_count(args) -> int:
 
 def cmd_cohomology(args) -> int:
     cp = _read_pair(args.input)
+    _check_pair_sizes(args, cp)
     _require_valid(cp)
     pres = cohomology_presentation(cp)
     ranks = graded_ranks(pres)
@@ -257,6 +294,7 @@ def cmd_cohomology(args) -> int:
 
 def cmd_kernel(args) -> int:
     cp = _read_pair(args.input)
+    _check_pair_sizes(args, cp)
     _require_valid(cp)
     basis = kernel_lattice(cp)
     rows = [list(v) for v in basis.basis]
@@ -278,7 +316,9 @@ def cmd_kernel(args) -> int:
 def cmd_oracle_iso(args) -> int:
     if args.bound < 0:
         raise UsageError("--bound must be nonnegative")
+    _check_size(args, "--bound", args.bound)
     cp1, cp2 = _read_two_pairs(args.inputs)
+    _check_pair_sizes(args, cp1, cp2)
     _require_valid(cp1)
     _require_valid(cp2)
     p1, p2 = cohomology_presentation(cp1), cohomology_presentation(cp2)
@@ -310,6 +350,8 @@ def cmd_oracle_iso(args) -> int:
 
 
 def cmd_witness_check(args) -> int:
+    _check_size(args, "--n", args.n)
+    _check_size(args, "--m", args.m)
     missing = [p for p in WITNESS_PARAMS[args.family] if getattr(args, p) is None]
     if missing:
         raise UsageError(

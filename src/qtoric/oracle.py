@@ -166,21 +166,25 @@ def ring_iso_search(p: Presentation, q: Presentation, bound: int = 3) -> IsoVerd
         raise ValueError("generator degree multisets differ")
     dmax = p_degrees[-1]
     target = {d: ideal_degree_lattice(q.gens, d) for d in range(1, dmax + 1)}
+    low, high = sorted(p.gens, key=lambda gen: gen.degree)
     for g in _candidate_matrices(bound):
-        image = [substitute_linear(gen, g) for gen in p.gens]
-        # cheap necessary condition before the degreewise lattice runs:
-        # each substituted generator must at least lie in the target ideal
-        if not all(
-            target[gen.degree].contains(gen.coeffs) for gen in image
-        ):
-            continue
-        ok = True
-        for d in range(1, dmax + 1):
-            if not lattice_equal(ideal_degree_lattice(image, d), target[d]):
-                ok = False
+        # cheap necessary condition before the degreewise lattice runs: each
+        # substituted generator must lie in the target ideal.  The
+        # lowest-degree generator is the cheaper one to substitute and meets
+        # the smallest piece, so it goes first and the other is substituted
+        # only when it passes.
+        image = []
+        for gen in (low, high):
+            sub = substitute_linear(gen, g)
+            if not target[sub.degree].contains(sub.coeffs):
                 break
-        if ok:
-            return IsoVerdict.found_matrix(g)
+            image.append(sub)
+        else:
+            if all(
+                lattice_equal(ideal_degree_lattice(image, d), target[d])
+                for d in range(1, dmax + 1)
+            ):
+                return IsoVerdict.found_matrix(g)
     return IsoVerdict.none_within(bound)
 
 

@@ -46,7 +46,7 @@ __all__ = [
     "validate",
     "validate_bruteforce",
     "normalize",
-    "admissible_char_pairs",
+    "admissible_normal_forms",
     "is_generalized_bott",
     "cohomology_presentation",
     "graded_ranks",
@@ -352,32 +352,45 @@ def kernel_lattice(cp: CharPair) -> LatticeBasis:
     return kernel_basis(characteristic_matrix_grouped(cp))
 
 
-def admissible_char_pairs(n: int, m: int, bound: int) -> Iterable[CharPair]:
-    """Every valid characteristic pair with entries in [-bound, bound], one
-    representative per entry multiset (validity and every classification
-    output are invariant under entry permutation), with a and b each sorted
-    descending, listed by a and then b in descending lexicographic order.
+def _bott_vectors(length: int, bound: int) -> Iterable[Tuple[int, ...]]:
+    """Every nonzero entry multiset with entries in [-bound, bound], sorted
+    by ``_canonical_sort`` and kept only at the sign ``_canonical_sign``
+    chooses, so a vector and its negative give one result."""
+    # combinations of values listed in canonical order come out sorted
+    values = _canonical_sort(range(-bound, bound + 1))
+    for v in itertools.combinations_with_replacement(values, length):
+        if v[0] and v >= _canonical_sort(-x for x in v):
+            yield v
 
-    Since every a_j * b_i lies in {0, 2}, a valid pair has one of three
-    shapes: a = 0 with any b; b = 0 with any a; or every nonzero a_j equal to
-    one alpha in {+-1, +-2} and every nonzero b_i equal to 2 / alpha.
+
+def admissible_normal_forms(n: int, m: int, bound: int) -> Iterable[NormalForm]:
+    """The normal form of every valid pair with entries in [-bound, bound],
+    each exactly once.  Needs n >= m, so no form carries a factor swap.
+
+    Since every a_j * b_i lies in {0, 2}, a normal form has one of three
+    shapes: the zero pair; one vector zero and the other a nonzero multiset
+    at its chosen sign; or the runs alpha^q 0^(m-q) and beta^p 0^(n-p) with
+    (alpha, beta) in {(1, 2), (2, 1)}, which ``normalize`` reaches by the
+    forced global flip.
+
+    Raises:
+        ValueError: when n < m, m < 1 or bound < 0 (on first iteration).
     """
-    values = sorted(range(-bound, bound + 1), reverse=True)
-    zero_b = (0,) * n
-    for a in itertools.combinations_with_replacement(values, m):
-        nonzero = set(a) - {0}
-        if not nonzero:
-            for b in itertools.combinations_with_replacement(values, n):
-                yield CharPair(n, m, a, b)
-            continue
-        partners = [zero_b]
-        if len(nonzero) == 1:
-            (alpha,) = nonzero
-            beta = 2 // alpha
-            if alpha * beta == 2 and abs(beta) <= bound:
-                # b sorted descending: beta entries lead when positive
-                for q in range(1, n + 1):
-                    run, rest = (beta,) * q, (0,) * (n - q)
-                    partners.append(run + rest if beta > 0 else rest + run)
-        for b in sorted(partners, reverse=True):
-            yield CharPair(n, m, a, b)
+    if m < 1 or n < m:
+        raise ValueError("need n >= m >= 1")
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
+    zero_a, zero_b = (0,) * m, (0,) * n
+    yield NormalForm(n, m, zero_a, zero_b, "bott", False)
+    for a in _bott_vectors(m, bound):
+        yield NormalForm(n, m, a, zero_b, "bott", False)
+    for b in _bott_vectors(n, bound):
+        yield NormalForm(n, m, zero_a, b, "bott", False)
+    if bound < 2:
+        return
+    for alpha, beta, orientation in ((2, 1, "a2"), (1, 2, "b2")):
+        for q in range(1, m + 1):
+            a = (alpha,) * q + (0,) * (m - q)
+            for p in range(1, n + 1):
+                b = (beta,) * p + (0,) * (n - p)
+                yield NormalForm(n, m, a, b, orientation, False)

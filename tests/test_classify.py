@@ -16,11 +16,7 @@ from qtoric.classify import (
     tilde_canonical,
     tilde_equiv,
 )
-from qtoric.quasitoric import (
-    CharPair,
-    admissible_char_pairs,
-    validate,
-)
+from qtoric.quasitoric import CharPair, validate
 
 from pair_reference import filtered_admissible_pairs
 
@@ -421,7 +417,7 @@ class TestEnumerate:
     def test_class_key_is_exact(self):
         labels = {}
         for n, m in itertools.product(range(1, 4), repeat=2):
-            for cp in admissible_char_pairs(n, m, 3):
+            for cp in filtered_admissible_pairs(n, m, 3):
                 c = canonical_class(cp)
                 labels[c.sort_key()] = c
         for c1, c2 in itertools.product(labels.values(), repeat=2):

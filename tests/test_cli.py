@@ -16,6 +16,10 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
+def _zero_pair(n, m):
+    return {"n": n, "m": m, "a": [0] * m, "b": [0] * n}
+
+
 def write_pair(tmp_path, name, n, m, a, b):
     path = tmp_path / name
     path.write_text(json.dumps({"n": n, "m": m, "a": list(a), "b": list(b)}))
@@ -282,6 +286,57 @@ class TestOracleIso:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+
+# one input per entry of cli.SIZE_LIMITS, each one past its limit
+_BREACHES = {
+    ("validate", "n + m"): (["validate", "-"], _zero_pair(17, 16)),
+    ("cohomology", "n + m"): (["cohomology", "-"], _zero_pair(8, 7)),
+    ("kernel", "n + m"): (["kernel", "-"], _zero_pair(17, 16)),
+    ("oracle-iso", "n + m"): (["oracle-iso", "-"], [_zero_pair(8, 7)] * 2),
+    ("oracle-iso", "--bound"): (
+        ["oracle-iso", "-", "--bound", "11"],
+        [_zero_pair(2, 1)] * 2,
+    ),
+    ("enumerate", "--n"): (["enumerate", "--n", "9", "--m", "1"], None),
+    ("enumerate", "--bound"): (
+        ["enumerate", "--n", "2", "--m", "1", "--bound", "6"],
+        None,
+    ),
+    ("witness-check", "--n"): (
+        ["witness-check", "--family", "fold-r", "--n", "33", "--m", "1", "--s", "1", "--r", "1"],
+        None,
+    ),
+    ("witness-check", "--m"): (
+        ["witness-check", "--family", "fold-s", "--n", "1", "--m", "33", "--s", "1", "--r", "1"],
+        None,
+    ),
+}
+
+
+class TestSizeLimits:
+    @pytest.mark.parametrize(
+        "command,quantity",
+        [(c, q) for c, limits in cli.SIZE_LIMITS.items() for q in limits],
+    )
+    def test_breach_is_usage_error(self, capsys, monkeypatch, command, quantity):
+        argv, doc = _BREACHES[(command, quantity)]
+        if doc is not None:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        limit = cli.SIZE_LIMITS[command][quantity]
+        assert err.startswith("error: %s %s must be at most %d," % (command, quantity, limit))
+
+    def test_limits_are_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(_zero_pair(7, 7))))
+        assert run_cli(["cohomology", "-"], capsys)[0] == 0
+        doc = json.dumps([_zero_pair(2, 1), _zero_pair(2, 1)])
+        monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+        assert run_cli(["oracle-iso", "-", "--bound", "10"], capsys)[0] == 0
+        code, _, _ = run_cli(["enumerate", "--n", "8", "--m", "8", "--bound", "1"], capsys)
+        assert code == 0
 
 
 class TestWitnessCheck:

@@ -8,7 +8,7 @@ from qtoric.lattice import is_basis_extendable, lattice_equal, lattice_from_gene
 from qtoric.quasitoric import (
     CharPair,
     NormalForm,
-    admissible_char_pairs,
+    admissible_normal_forms,
     characteristic_matrix,
     characteristic_matrix_grouped,
     cohomology_presentation,
@@ -292,7 +292,14 @@ class TestJson:
 class TestAdmissiblePairs:
     def test_matches_filtered_enumeration(self):
         for n, m, bound in itertools.product(range(1, 6), range(1, 6), range(4)):
-            expected = list(filtered_admissible_pairs(n, m, bound))
-            got = list(admissible_char_pairs(n, m, bound))
-            assert got == expected, (n, m, bound)
+            if n < m:
+                continue
+            got = list(admissible_normal_forms(n, m, bound))
+            expected = {normalize(cp) for cp in filtered_admissible_pairs(n, m, bound)}
+            assert set(got) == expected, (n, m, bound)
             assert len(set(got)) == len(got)
+
+    def test_argument_validation(self):
+        for args in ((1, 2, 2), (2, 0, 2), (2, 2, -1)):
+            with pytest.raises(ValueError):
+                list(admissible_normal_forms(*args))
