@@ -57,7 +57,7 @@ EXIT_INCONSISTENT = 4
 
 # The largest size each command accepts, by quantity; "n + m" is read from
 # the input pairs, the flags from the command line.  Each cap keeps its
-# command's worst case well under a second: the brute-force validity check
+# command's worst case within about a second: the brute-force validity check
 # is O(nm (n+m)^3), graded ranks and ring lattices grow their coefficients
 # steeply above n + m = 14, enumeration visits about C(2 bound + n, n)
 # vectors, and the isomorphism search loops (2 bound + 1)^4 times to list
@@ -67,7 +67,7 @@ SIZE_LIMITS = {
     "cohomology": {"n + m": 14},
     "kernel": {"n + m": 32},
     "oracle-iso": {"n + m": 14, "--bound": 10},
-    "enumerate": {"--n": 8, "--bound": 5},  # --m is at most --n
+    "enumerate": {"--n": 8, "--bound": 4},  # --m is at most --n
     "witness-check": {"--n": 32, "--m": 32},
 }
 

@@ -356,7 +356,8 @@ def _bott_vectors(length: int, bound: int) -> Iterable[Tuple[int, ...]]:
     """Every nonzero entry multiset with entries in [-bound, bound], sorted
     by ``_canonical_sort`` and kept only at the sign ``_canonical_sign``
     chooses, so a vector and its negative give one result."""
-    # combinations of values listed in canonical order come out sorted
+    # combinations of values listed in canonical order come out canonically
+    # sorted, so zeros trail and v[0] is 0 only for the zero vector
     values = _canonical_sort(range(-bound, bound + 1))
     for v in itertools.combinations_with_replacement(values, length):
         if v[0] and v >= _canonical_sort(-x for x in v):

@@ -300,7 +300,7 @@ _BREACHES = {
     ),
     ("enumerate", "--n"): (["enumerate", "--n", "9", "--m", "1"], None),
     ("enumerate", "--bound"): (
-        ["enumerate", "--n", "2", "--m", "1", "--bound", "6"],
+        ["enumerate", "--n", "2", "--m", "1", "--bound", "5"],
         None,
     ),
     ("witness-check", "--n"): (
