@@ -49,21 +49,27 @@ from .quasitoric import (
     validate_bruteforce,
 )
 
+__all__ = ["SIZE_LIMITS", "build_parser", "main"]
+
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INVALID = 3
 EXIT_INCONSISTENT = 4
 
 
-# The largest size each command accepts, by quantity; "n + m" is read from
-# the input pairs, the flags from the command line.  Each cap keeps its
-# command's worst case within about a second: the brute-force validity check
-# is O(nm (n+m)^3), graded ranks and ring lattices grow their coefficients
-# steeply above n + m = 14, enumeration visits about C(2 bound + n, n)
-# vectors, and the isomorphism search loops (2 bound + 1)^4 times to list
-# its candidates.
+# The largest size each command accepts, by quantity; "n + m" and "entry
+# digits" (decimal digits of the largest |entry|) are read from the input
+# pairs, the flags from the command line.  Each cap keeps its command's
+# worst case within about a second: the brute-force validity check is
+# O(nm (n+m)^3), graded ranks and ring lattices grow their coefficients
+# steeply above n + m = 14, a Bott label's key expands a series with nm
+# products whose coefficients grow with n + m times the entry digits,
+# enumeration visits about C(2 bound + n, n) vectors, and the isomorphism
+# search loops (2 bound + 1)^4 times to list its candidates.
 SIZE_LIMITS = {
     "validate": {"n + m": 32},
+    "classify": {"n + m": 128, "entry digits": 100},
+    "compare": {"n + m": 128, "entry digits": 100},
     "cohomology": {"n + m": 14},
     "kernel": {"n + m": 32},
     "oracle-iso": {"n + m": 14, "--bound": 10},
@@ -91,11 +97,13 @@ def _read_document(path: str):
         else:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError("cannot read %s: %s" % (path, exc))
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integers past the
+        # interpreter's digit limit; RecursionError, nesting too deep
         raise UsageError("malformed JSON in %s: %s" % (path, exc))
 
 
@@ -134,8 +142,11 @@ def _check_size(args, quantity: str, value: Optional[int]) -> None:
 
 
 def _check_pair_sizes(args, *pairs: CharPair) -> None:
+    check_digits = "entry digits" in SIZE_LIMITS[args.command]
     for cp in pairs:
         _check_size(args, "n + m", cp.n + cp.m)
+        if check_digits:
+            _check_size(args, "entry digits", max(len(str(abs(x))) for x in cp.a + cp.b))
 
 
 def _require_valid(cp: CharPair) -> None:
@@ -205,6 +216,7 @@ def cmd_validate(args) -> int:
 
 def cmd_classify(args) -> int:
     cp = _read_pair(args.input)
+    _check_pair_sizes(args, cp)
     _require_valid(cp)
     label = canonical_class(cp)
     if args.format == "tsv":
@@ -216,6 +228,7 @@ def cmd_classify(args) -> int:
 
 def cmd_compare(args) -> int:
     cp1, cp2 = _read_two_pairs(args.inputs)
+    _check_pair_sizes(args, cp1, cp2)
     _require_valid(cp1)
     _require_valid(cp2)
     verdict, rule = homeomorphic(cp1, cp2)

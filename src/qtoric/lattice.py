@@ -8,14 +8,14 @@ so no fixed-width arithmetic is ever used.
 Conventions
 -----------
 * Matrices are dense and row-major (:class:`IntMatrix`).
-* Hermite normal form (HNF) is row-style: ``U @ m = H`` with ``U`` unimodular,
-  pivot entries positive, pivots moving strictly right as you go down, zero
-  rows at the bottom, and every entry above a pivot reduced into
-  ``[0, pivot)``.  This makes the nonzero rows of ``H`` a canonical basis of
-  the row lattice, so two sublattices of Z^d are equal exactly when their
-  canonical bases are identical tuples.
-* Smith normal form diagonal entries are nonnegative and each divides the
-  next (zeros, which every integer divides, sit at the end).
+* Hermite normal form (HNF) is row-style, and its nonzero rows are the
+  canonical basis of the row lattice: pivots are positive and move strictly
+  right as you go down, and every entry above a pivot is reduced into
+  ``[0, pivot)``.  Each sublattice of Z^d has exactly one such basis, so two
+  sublattices are equal exactly when their canonical bases are identical
+  tuples.
+* Smith normal form is its diagonal alone: nonnegative entries, each
+  dividing the next (zeros, which every integer divides, sit at the end).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from typing import Iterable, List, Sequence, Tuple
 __all__ = [
     "IntMatrix",
     "LatticeBasis",
-    "hermite_normal_form",
     "smith_normal_form",
     "kernel_basis",
     "lattice_equal",
@@ -166,9 +165,8 @@ def _pivot_index(row: Sequence[int]) -> int:
     raise ValueError("zero row has no pivot")
 
 
-def _hnf_rows(rows: List[List[int]], track: List[List[int]] | None = None) -> None:
-    """In-place row Hermite reduction of ``rows``; mirrors every operation on
-    ``track`` when given (used to accumulate the unimodular transform).
+def _hnf_rows(rows: List[List[int]]) -> None:
+    """In-place row Hermite reduction of ``rows``.
 
     Termination: within each column the minimum nonzero absolute value over
     the working rows strictly decreases under the remainder step, so each
@@ -193,8 +191,6 @@ def _hnf_rows(rows: List[List[int]], track: List[List[int]] | None = None) -> No
             if not others:
                 if piv != top:
                     rows[top], rows[piv] = rows[piv], rows[top]
-                    if track is not None:
-                        track[top], track[piv] = track[piv], track[top]
                 break
             p = rows[piv][col]
             for i in others:
@@ -203,15 +199,9 @@ def _hnf_rows(rows: List[List[int]], track: List[List[int]] | None = None) -> No
                     ri, rp = rows[i], rows[piv]
                     for j in range(nc):
                         ri[j] -= q * rp[j]
-                    if track is not None:
-                        ti, tp = track[i], track[piv]
-                        for j in range(len(ti)):
-                            ti[j] -= q * tp[j]
         if top < nr and rows[top][col] != 0:
             if rows[top][col] < 0:
                 rows[top] = [-x for x in rows[top]]
-                if track is not None:
-                    track[top] = [-x for x in track[top]]
             # reduce entries above the pivot into [0, pivot)
             p = rows[top][col]
             for i in range(top):
@@ -220,31 +210,7 @@ def _hnf_rows(rows: List[List[int]], track: List[List[int]] | None = None) -> No
                     ri, rp = rows[i], rows[top]
                     for j in range(nc):
                         ri[j] -= q * rp[j]
-                    if track is not None:
-                        ti, tp = track[i], track[top]
-                        for j in range(len(ti)):
-                            ti[j] -= q * tp[j]
             top += 1
-
-
-def hermite_normal_form(m: IntMatrix) -> Tuple[IntMatrix, IntMatrix]:
-    """Row-style Hermite normal form.
-
-    Args:
-        m: any integer matrix.
-
-    Returns:
-        (H, U) with U unimodular, U @ m = H, pivots positive and strictly
-        right-moving, entries above each pivot reduced into [0, pivot), zero
-        rows collected at the bottom.
-    """
-    rows = [list(r) for r in m.to_rows()]
-    track = [[1 if i == j else 0 for j in range(m.rows)] for i in range(m.rows)]
-    if rows:
-        _hnf_rows(rows, track)
-    h = IntMatrix.from_rows(rows, cols=m.cols)
-    u = IntMatrix.from_rows(track, cols=m.rows)
-    return h, u
 
 
 def determinant(m: IntMatrix) -> int:
@@ -276,9 +242,9 @@ def determinant(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _snf_inplace(a: List[List[int]], left: List[List[int]], right: List[List[int]]) -> None:
-    """Diagonalize ``a`` by unimodular row/column operations, mirrored on
-    ``left`` (rows) and ``right`` (columns), enforcing the divisibility chain.
+def _snf_inplace(a: List[List[int]]) -> None:
+    """Diagonalize ``a`` by unimodular row and column operations, enforcing
+    the divisibility chain.
     """
     nr = len(a)
     nc = len(a[0]) if nr else 0
@@ -287,25 +253,17 @@ def _snf_inplace(a: List[List[int]], left: List[List[int]], right: List[List[int
         ai, ak = a[i], a[k]
         for j in range(nc):
             ai[j] -= q * ak[j]
-        li, lk = left[i], left[k]
-        for j in range(nr):
-            li[j] -= q * lk[j]
 
     def col_op(j: int, k: int, q: int) -> None:  # col j -= q * col k
-        for i in range(nr):
-            a[i][j] -= q * a[i][k]
-        for i in range(nc):
-            right[i][j] -= q * right[i][k]
+        for row in a:
+            row[j] -= q * row[k]
 
     def row_swap(i: int, k: int) -> None:
         a[i], a[k] = a[k], a[i]
-        left[i], left[k] = left[k], left[i]
 
     def col_swap(j: int, k: int) -> None:
-        for i in range(nr):
-            a[i][j], a[i][k] = a[i][k], a[i][j]
-        for i in range(nc):
-            right[i][j], right[i][k] = right[i][k], right[i][j]
+        for row in a:
+            row[j], row[k] = row[k], row[j]
 
     t = 0
     while t < min(nr, nc):
@@ -358,32 +316,17 @@ def _snf_inplace(a: List[List[int]], left: List[List[int]], right: List[List[int
                 break
             row_op(t, offender, -1)  # fold the offending row into row t
         if a[t][t] < 0:
-            for j in range(nc):
-                a[t][j] = -a[t][j]
-            for j in range(nr):
-                left[t][j] = -left[t][j]
+            a[t] = [-x for x in a[t]]
         t += 1
 
 
-def smith_normal_form(m: IntMatrix) -> Tuple[Tuple[int, ...], IntMatrix, IntMatrix]:
-    """Smith normal form.
-
-    Args:
-        m: any integer matrix.
-
-    Returns:
-        (diag, left, right) with left @ m @ right diagonal, ``diag`` of length
-        min(rows, cols) with nonnegative entries each dividing the next, and
-        left/right unimodular.
-    """
+def smith_normal_form(m: IntMatrix) -> Tuple[int, ...]:
+    """Smith normal form diagonal of ``m``: min(rows, cols) nonnegative
+    entries, each dividing the next."""
     a = [list(r) for r in m.to_rows()]
-    left = [[1 if i == j else 0 for j in range(m.rows)] for i in range(m.rows)]
-    right = [[1 if i == j else 0 for j in range(m.cols)] for i in range(m.cols)]
     if a:
-        _snf_inplace(a, left, right)
-    k = min(m.rows, m.cols)
-    diag = tuple(a[i][i] if a else 0 for i in range(k))
-    return diag, IntMatrix.from_rows(left, cols=m.rows), IntMatrix.from_rows(right, cols=m.cols)
+        _snf_inplace(a)
+    return tuple(a[i][i] for i in range(min(m.rows, m.cols)))
 
 
 def lattice_from_generators(ambient_dim: int, vectors: Iterable[Sequence[int]]) -> LatticeBasis:
@@ -440,5 +383,4 @@ def is_basis_extendable(vectors: Sequence[Sequence[int]]) -> bool:
     m = IntMatrix.from_rows(vecs, cols=d)
     if k == d:
         return determinant(m) in (1, -1)
-    diag, _, _ = smith_normal_form(m)
-    return all(x == 1 for x in diag)
+    return all(x == 1 for x in smith_normal_form(m))

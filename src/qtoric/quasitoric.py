@@ -322,9 +322,7 @@ def graded_ranks(p: Presentation) -> GradedRanks:
         lat = ideal_degree_lattice([p.gen1, p.gen2], d)
         ranks.append(d + 1 - lat.rank)
         if lat.rank:
-            diag, _, _ = smith_normal_form(
-                IntMatrix.from_rows(lat.basis, cols=d + 1)
-            )
+            diag = smith_normal_form(IntMatrix.from_rows(lat.basis, cols=d + 1))
             torsion.append(tuple(x for x in diag if x > 1))
         else:
             torsion.append(())

@@ -1,11 +1,15 @@
 """Tests for the command-line front end."""
 
+import contextlib
 import io
 import json
 import subprocess
 import sys
+from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtoric import cli
 
@@ -59,6 +63,29 @@ class TestValidate:
         code, _, err = run_cli(["validate", str(path)], capsys)
         assert code == 2
         assert "malformed" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 1, "m": 1, "a": [%s], "b": [0]}' % ("1" * 5000),  # past the digit limit
+            "[" * 100000,  # nested past the recursion limit
+        ],
+        ids=["huge-integer", "deep-nesting"],
+    )
+    def test_unparseable_json(self, capsys, monkeypatch, text):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, err = run_cli(["classify", "-"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: malformed JSON")
+
+    def test_undecodable_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run_cli(["validate", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "cannot read" in err
 
     def test_bad_schema(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -289,8 +316,19 @@ class TestOracleIso:
 
 
 # one input per entry of cli.SIZE_LIMITS, each one past its limit
+def _bott_pair(n, m, entry):
+    return {"n": n, "m": m, "a": [entry] * m, "b": [0] * n}
+
+
 _BREACHES = {
     ("validate", "n + m"): (["validate", "-"], _zero_pair(17, 16)),
+    ("classify", "n + m"): (["classify", "-"], _zero_pair(65, 64)),
+    ("classify", "entry digits"): (["classify", "-"], _bott_pair(1, 1, -(10**100))),
+    ("compare", "n + m"): (["compare", "-"], [_zero_pair(1, 1), _zero_pair(65, 64)]),
+    ("compare", "entry digits"): (
+        ["compare", "-"],
+        [_zero_pair(1, 1), _bott_pair(2, 1, 10**100)],
+    ),
     ("cohomology", "n + m"): (["cohomology", "-"], _zero_pair(8, 7)),
     ("kernel", "n + m"): (["kernel", "-"], _zero_pair(17, 16)),
     ("oracle-iso", "n + m"): (["oracle-iso", "-"], [_zero_pair(8, 7)] * 2),
@@ -337,6 +375,12 @@ class TestSizeLimits:
         assert run_cli(["oracle-iso", "-", "--bound", "10"], capsys)[0] == 0
         code, _, _ = run_cli(["enumerate", "--n", "8", "--m", "8", "--bound", "1"], capsys)
         assert code == 0
+        largest = _bott_pair(64, 64, -(10**100 - 1))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(largest)))
+        assert run_cli(["classify", "-"], capsys)[0] == 0
+        doc = json.dumps([largest, _bott_pair(64, 64, 10**100 - 2)])
+        monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+        assert run_cli(["compare", "-"], capsys)[0] == 0
 
 
 class TestWitnessCheck:
@@ -401,6 +445,93 @@ class TestWitnessCheck:
         with pytest.raises(SystemExit) as exc:
             cli.main(["witness-check", "--family", "bogus", "--n", "2"])
         assert exc.value.code == 2
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=10,
+)
+entries = st.lists(st.integers(-3, 3), max_size=7)
+# well-formed pair documents, often valid (a zero vector always is)
+shaped_pairs = st.integers(1, 6).flatmap(
+    lambda n: st.integers(1, 6).flatmap(
+        lambda m: st.fixed_dictionaries(
+            {
+                "n": st.just(n),
+                "m": st.just(m),
+                "a": st.lists(st.integers(-2, 2), min_size=m, max_size=m),
+                "b": st.just([0] * n) | st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+            }
+        )
+    )
+)
+# shaped ones, ones with loose fields, and ones with a key dropped or an
+# arbitrary value swapped in
+pair_docs = st.one_of(
+    shaped_pairs,
+    st.fixed_dictionaries(
+        {"n": st.integers(-1, 7), "m": st.integers(-1, 7), "a": entries, "b": entries}
+    ),
+    st.dictionaries(st.sampled_from(["n", "m", "a", "b"]), json_values | st.integers(-1, 7)),
+)
+documents = st.one_of(json_values, pair_docs, st.lists(pair_docs, max_size=3))
+stdin_texts = st.one_of(documents.map(json.dumps), st.text(max_size=30))
+argv_tokens = st.one_of(
+    st.sampled_from(
+        ["-", "no/such/pair.json", "--n", "--m", "--bound", "--format", "json", "tsv",
+         "--family", "repeat-fill", "fold-r", "fold-s", "--s", "--r", "--a", "--b", "--help"]
+    ),
+    st.integers(-3, 12).map(str),
+    st.integers().map(str),
+)
+commands = st.sampled_from(
+    ["validate", "classify", "compare", "enumerate", "count", "cohomology", "kernel",
+     "oracle-iso", "witness-check"]
+)
+
+
+def _run_in_process(argv, stdin_text):
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin_text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse reports bad flags this way
+                code = exc.code
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestFuzz:
+    # the deadline fails any input that runs unbounded; the size caps keep
+    # every admissible input well inside it
+    @given(commands, st.lists(argv_tokens, max_size=8), stdin_texts)
+    @settings(max_examples=300, deadline=timedelta(seconds=5))
+    def test_exit_codes_hold(self, command, extra, stdin_text):
+        code, out, err = _run_in_process([command] + extra, stdin_text)
+        assert code in (0, 2, 3)
+        if code:
+            assert out == ""
+            assert err
+
+    @given(
+        st.sampled_from(["validate", "classify", "compare", "cohomology", "kernel", "oracle-iso"]),
+        shaped_pairs,
+        shaped_pairs,
+        st.sampled_from(["json", "tsv"]),
+    )
+    @settings(max_examples=300, deadline=timedelta(seconds=5))
+    def test_pair_documents_on_stdin(self, command, doc1, doc2, fmt):
+        doc = [doc1, doc2] if command in ("compare", "oracle-iso") else doc1
+        code, out, err = _run_in_process([command, "-", "--format", fmt], json.dumps(doc))
+        assert code in (0, 2, 3)
+        if code:
+            assert out == ""
+            assert err
 
 
 def test_module_entry_point(tmp_path):

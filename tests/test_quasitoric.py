@@ -3,11 +3,15 @@ import itertools
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import Matrix
+from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from qtoric.lattice import is_basis_extendable, lattice_equal, lattice_from_generators
+from qtoric.polyring import HomogPoly, ideal_degree_lattice
 from qtoric.quasitoric import (
     CharPair,
     NormalForm,
+    Presentation,
     admissible_normal_forms,
     characteristic_matrix,
     characteristic_matrix_grouped,
@@ -51,6 +55,17 @@ valid_pairs = st.integers(1, 4).flatmap(
                 else (t[4][:n] if t[3] == "bott-a" else [0] * n),
             )
         )
+    )
+)
+
+# arbitrary generators, not only the ones a characteristic pair gives, so
+# the quotient can carry torsion
+random_presentations = st.integers(1, 3).flatmap(
+    lambda n: st.integers(1, 3).flatmap(
+        lambda m: st.tuples(
+            st.lists(st.integers(-4, 4), min_size=n + 2, max_size=n + 2),
+            st.lists(st.integers(-4, 4), min_size=m + 2, max_size=m + 2),
+        ).map(lambda t: Presentation(n, m, HomogPoly.from_coeffs(t[0]), HomogPoly.from_coeffs(t[1])))
     )
 )
 
@@ -223,6 +238,42 @@ class TestGradedRanks:
         assert gr.ranks == h_vector(pair.n, pair.m)
         assert gr.torsion_free
         assert sum(gr.ranks) == (pair.n + 1) * (pair.m + 1)
+
+    @pytest.mark.parametrize(
+        "pres,ranks,torsion",
+        [
+            (
+                Presentation(1, 1, HomogPoly(2, (2, 0, 0)), HomogPoly(2, (0, 0, 1))),
+                (1, 2, 1),
+                ((), (), (2,)),
+            ),
+            (
+                Presentation(2, 1, HomogPoly(3, (1, 0, 0, 0)), HomogPoly(2, (0, 3, 3))),
+                (1, 2, 2, 1),
+                ((), (), (3,), (3, 3)),
+            ),
+        ],
+    )
+    def test_frozen_torsion(self, pres, ranks, torsion):
+        gr = graded_ranks(pres)
+        assert gr.ranks == ranks
+        assert gr.torsion == torsion
+        assert not gr.torsion_free
+
+    @given(random_presentations)
+    @settings(max_examples=60, deadline=None)
+    def test_torsion_matches_sympy(self, pres):
+        gr = graded_ranks(pres)
+        for d in range(pres.n + pres.m + 1):
+            lat = ideal_degree_lattice([pres.gen1, pres.gen2], d)
+            assert gr.ranks[d] == d + 1 - lat.rank
+            expected = ()
+            if lat.basis:
+                s = sympy_snf(Matrix(lat.basis))
+                expected = tuple(
+                    sorted(abs(int(s[i, i])) for i in range(lat.rank) if abs(s[i, i]) > 1)
+                )
+            assert gr.torsion[d] == expected
 
 
 class TestKernelLattice:
