@@ -61,19 +61,21 @@ EXIT_INCONSISTENT = 4
 # digits" (decimal digits of the largest |entry|) are read from the input
 # pairs, the flags from the command line.  Each cap keeps its command's
 # worst case within about a second: the brute-force validity check is
-# O(nm (n+m)^3), graded ranks and ring lattices grow their coefficients
-# steeply above n + m = 14, a Bott label's key expands a series with nm
-# products whose coefficients grow with n + m times the entry digits,
-# enumeration visits about C(2 bound + n, n) vectors, and the isomorphism
-# search loops (2 bound + 1)^4 times to list its candidates.
+# O(nm (n+m)^3), graded ranks and ring lattices and a Bott label's key
+# (a series with nm products) all grow their coefficients with n + m times
+# the entry digits, enumeration visits about C(2 bound + n, n) vectors, and
+# the isomorphism search loops (2 bound + 1)^4 times to list its
+# candidates.  The count is closed form; its cap keeps the printed count
+# within the interpreter's digit limit for integers.
 SIZE_LIMITS = {
     "validate": {"n + m": 32},
     "classify": {"n + m": 128, "entry digits": 100},
     "compare": {"n + m": 128, "entry digits": 100},
-    "cohomology": {"n + m": 14},
+    "cohomology": {"n + m": 14, "entry digits": 100},
     "kernel": {"n + m": 32},
     "oracle-iso": {"n + m": 14, "--bound": 10},
     "enumerate": {"--n": 8, "--bound": 4},  # --m is at most --n
+    "count": {"--n": 1_000_000},  # --m is at most --n
     "witness-check": {"--n": 32, "--m": 32},
 }
 
@@ -269,6 +271,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_count(args) -> int:
+    _check_size(args, "--n", args.n)
     try:
         value = count_nonbott(args.n, args.m)
     except ValueError as exc:

@@ -1,5 +1,5 @@
 """Exact integer linear algebra: Hermite and Smith normal forms, kernels,
-lattice comparison, and unimodular-extendability tests.
+canonical lattice bases, and unimodular-extendability tests.
 
 Everything here runs on arbitrary-precision Python integers; intermediate
 entries in a normal-form computation can grow far beyond the input magnitude,
@@ -8,6 +8,10 @@ so no fixed-width arithmetic is ever used.
 Conventions
 -----------
 * Matrices are dense and row-major (:class:`IntMatrix`).
+* Outside data enters through the checked constructors
+  :meth:`IntMatrix.from_rows` and :func:`lattice_from_generators`; the raw
+  dataclass constructors check nothing and are for data that is consistent
+  by construction.
 * Hermite normal form (HNF) is row-style, and its nonzero rows are the
   canonical basis of the row lattice: pivots are positive and move strictly
   right as you go down, and every entry above a pivot is reduced into
@@ -20,6 +24,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
@@ -28,7 +33,6 @@ __all__ = [
     "LatticeBasis",
     "smith_normal_form",
     "kernel_basis",
-    "lattice_equal",
     "is_basis_extendable",
     "lattice_from_generators",
     "determinant",
@@ -39,6 +43,9 @@ __all__ = [
 class IntMatrix:
     """A dense integer matrix with row-major entry storage.
 
+    :meth:`from_rows` is the checked constructor; the raw constructor does
+    not check its arguments.
+
     Attributes:
         rows: number of rows (>= 0).
         cols: number of columns (>= 0).
@@ -48,16 +55,6 @@ class IntMatrix:
     rows: int
     cols: int
     entries: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
-        if not all(isinstance(e, int) for e in self.entries):
-            raise ValueError("entries must be integers")
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], cols: int | None = None) -> "IntMatrix":
@@ -78,6 +75,8 @@ class IntMatrix:
         else:
             if cols is None:
                 raise ValueError("empty matrix needs an explicit column count")
+            if cols < 0:
+                raise ValueError("matrix dimensions must be nonnegative")
             width = cols
         flat = tuple(x for r in row_list for x in r)
         return cls(len(row_list), width, flat)
@@ -119,19 +118,15 @@ class LatticeBasis:
     """A sublattice of Z^d held in canonical form.
 
     ``basis`` is the tuple of nonzero rows of the Hermite normal form of any
-    generating set, so equal lattices always have identical representations.
-    An empty tuple is the zero lattice.
+    generating set, so equal lattices always have identical representations
+    and compare equal with ``==``.  An empty tuple is the zero lattice.
+
+    :func:`lattice_from_generators` is the checked constructor; the raw
+    constructor does not check its arguments.
     """
 
     ambient_dim: int
     basis: Tuple[Tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if self.ambient_dim < 0:
-            raise ValueError("ambient dimension must be nonnegative")
-        for v in self.basis:
-            if len(v) != self.ambient_dim:
-                raise ValueError("basis vector length differs from ambient dimension")
 
     @property
     def rank(self) -> int:
@@ -242,91 +237,31 @@ def determinant(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _snf_inplace(a: List[List[int]]) -> None:
-    """Diagonalize ``a`` by unimodular row and column operations, enforcing
-    the divisibility chain.
-    """
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
-
-    def row_op(i: int, k: int, q: int) -> None:  # row i -= q * row k
-        ai, ak = a[i], a[k]
-        for j in range(nc):
-            ai[j] -= q * ak[j]
-
-    def col_op(j: int, k: int, q: int) -> None:  # col j -= q * col k
-        for row in a:
-            row[j] -= q * row[k]
-
-    def row_swap(i: int, k: int) -> None:
-        a[i], a[k] = a[k], a[i]
-
-    def col_swap(j: int, k: int) -> None:
-        for row in a:
-            row[j], row[k] = row[k], row[j]
-
-    t = 0
-    while t < min(nr, nc):
-        # locate a pivot of minimal absolute value in the trailing block
-        piv = None
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best = abs(x)
-                    piv = (i, j)
-        if piv is None:
-            break
-        row_swap(t, piv[0])
-        col_swap(t, piv[1])
-        while True:
-            # clear column t
-            dirty = False
-            for i in range(t + 1, nr):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    row_op(i, t, q)
-                    if a[i][t] != 0:  # remainder became the smaller pivot
-                        row_swap(t, i)
-                        dirty = True
-            if dirty:
-                continue
-            # clear row t
-            for j in range(t + 1, nc):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    col_op(j, t, q)
-                    if a[t][j] != 0:
-                        col_swap(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            # divisibility: the pivot must divide every trailing entry
-            offender = None
-            p = a[t][t]
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if a[i][j] % p != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_op(t, offender, -1)  # fold the offending row into row t
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-        t += 1
-
-
 def smith_normal_form(m: IntMatrix) -> Tuple[int, ...]:
     """Smith normal form diagonal of ``m``: min(rows, cols) nonnegative
-    entries, each dividing the next."""
+    entries, each dividing the next.
+
+    Row Hermite reduction of the matrix and of its transpose alternate until
+    a diagonal remains; each reduction keeps entries reduced against their
+    pivots, so they stay small.  Termination: the leading pivot is the gcd
+    of its column, then of its row, so it shrinks strictly until its row and
+    column are clear, and then stays clear.  A gcd/lcm sweep over the
+    diagonal gives the divisibility chain, since diag(x, y) is equivalent to
+    diag(gcd(x, y), lcm(x, y)).
+    """
     a = [list(r) for r in m.to_rows()]
-    if a:
-        _snf_inplace(a)
-    return tuple(a[i][i] for i in range(min(m.rows, m.cols)))
+    while True:
+        a = [r for r in a if any(r)]
+        _hnf_rows(a)
+        a = [list(col) for col in zip(*a) if any(col)]
+        if all(x == 0 for i, r in enumerate(a) for j, x in enumerate(r) if i != j):
+            break
+    diag = [a[i][i] for i in range(len(a))]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = math.gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return tuple(diag) + (0,) * (min(m.rows, m.cols) - len(diag))
 
 
 def lattice_from_generators(ambient_dim: int, vectors: Iterable[Sequence[int]]) -> LatticeBasis:
@@ -335,6 +270,8 @@ def lattice_from_generators(ambient_dim: int, vectors: Iterable[Sequence[int]]) 
     for v in gens:
         if len(v) != ambient_dim:
             raise ValueError("generator length differs from ambient dimension")
+    if ambient_dim < 0:
+        raise ValueError("ambient dimension must be nonnegative")
     _hnf_rows(gens)
     return LatticeBasis(ambient_dim, tuple(tuple(r) for r in gens if any(r)))
 
@@ -355,13 +292,6 @@ def kernel_basis(m: IntMatrix) -> LatticeBasis:
         _hnf_rows(aug)
     gens = [row[m.rows :] for row in aug if all(x == 0 for x in row[: m.rows])]
     return lattice_from_generators(m.cols, gens)
-
-
-def lattice_equal(a: LatticeBasis, b: LatticeBasis) -> bool:
-    """Whether two canonically stored sublattices coincide."""
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimensions differ")
-    return a.basis == b.basis
 
 
 def is_basis_extendable(vectors: Sequence[Sequence[int]]) -> bool:

@@ -5,10 +5,12 @@ Two oracles, both exact:
 * ``ring_iso_search``: brute-force search for a graded ring isomorphism
   between two cohomology presentations.  It enumerates 2x2 integer matrices g
   with determinant +-1 and bounded entries, substitutes the generators, and
-  compares the two ideals degree by degree through their coefficient
-  lattices.  A homogeneous ideal generated in degrees at most D is determined
-  by its pieces up to D, so checking degrees 1..max(n+1, m+1) is a complete
-  equality test for a given g.  A negative answer is only "within bound":
+  tests the two ideals for containment both ways: each substituted
+  generator must lie in the target ideal, and each target generator in the
+  ideal the substituted ones generate, each test run in one degree piece
+  through its coefficient lattice.  Two ideals that contain each other's
+  generators are equal, so this is a complete equality test for a given g.
+  A negative answer is only "within bound":
   the closed-form classifier stays authoritative and the search acts as a
   falsifier.
 * ``witness_check``: verifies equivariance certificates.  A homeomorphism
@@ -32,7 +34,7 @@ import functools
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from .lattice import IntMatrix, determinant, lattice_equal
+from .lattice import IntMatrix, determinant
 from .polyring import ideal_degree_lattice, substitute_linear
 from .quasitoric import CharPair, Presentation, kernel_span_vectors
 
@@ -150,8 +152,11 @@ def ring_iso_search(p: Presentation, q: Presentation, bound: int = 3) -> IsoVerd
     """Search for a degree-preserving ring isomorphism between two
     presentations, over substitutions with entries bounded by ``bound``.
 
-    The first working candidate in the fixed total order is returned, so the
-    result is deterministic.
+    A candidate g works when the substituted ideal equals the target one,
+    tested by containment both ways: each substituted generator lies in the
+    target's piece of its degree, and each target generator lies in the
+    substituted ideal's piece of its degree.  The first working candidate in
+    the fixed total order is returned, so the result is deterministic.
 
     Raises:
         ValueError: when the generator degree multisets disagree (no graded
@@ -164,15 +169,12 @@ def ring_iso_search(p: Presentation, q: Presentation, bound: int = 3) -> IsoVerd
     q_degrees = sorted((q.gen1.degree, q.gen2.degree))
     if p_degrees != q_degrees:
         raise ValueError("generator degree multisets differ")
-    dmax = p_degrees[-1]
-    target = {d: ideal_degree_lattice(q.gens, d) for d in range(1, dmax + 1)}
+    target = {d: ideal_degree_lattice(q.gens, d) for d in q_degrees}
     low, high = sorted(p.gens, key=lambda gen: gen.degree)
     for g in _candidate_matrices(bound):
-        # cheap necessary condition before the degreewise lattice runs: each
-        # substituted generator must lie in the target ideal.  The
-        # lowest-degree generator is the cheaper one to substitute and meets
-        # the smallest piece, so it goes first and the other is substituted
-        # only when it passes.
+        # the image ideal must lie in the target: the lowest-degree generator
+        # is the cheaper one to substitute and meets the smallest piece, so
+        # it goes first and the other is substituted only when it passes
         image = []
         for gen in (low, high):
             sub = substitute_linear(gen, g)
@@ -180,10 +182,9 @@ def ring_iso_search(p: Presentation, q: Presentation, bound: int = 3) -> IsoVerd
                 break
             image.append(sub)
         else:
-            if all(
-                lattice_equal(ideal_degree_lattice(image, d), target[d])
-                for d in range(1, dmax + 1)
-            ):
+            # and the target must lie in the image ideal
+            pieces = {d: ideal_degree_lattice(image, d) for d in target}
+            if all(pieces[t.degree].contains(t.coeffs) for t in q.gens):
                 return IsoVerdict.found_matrix(g)
     return IsoVerdict.none_within(bound)
 

@@ -8,7 +8,8 @@ two ring generators produced elsewhere are symmetric in the variables and
 would otherwise be easy to transpose.
 
 The multiplication kernels work on plain coefficient lists; each public
-function builds its checked :class:`HomogPoly` once, from the finished list.
+function builds its :class:`HomogPoly` once, from the finished list, through
+the raw constructor: the list's length matches the degree by construction.
 
 Truncated products of linear factors prod(1 + c_i x) are expanded in
 Z[x]/x^(ell+1) as tuples of exactly ell+1 coefficients, index i holding the
@@ -39,20 +40,19 @@ class HomogPoly:
     The zero polynomial is representable at any degree (all-zero coefficient
     vector); the degree tag is part of the value so that degree-piece
     bookkeeping stays total.
+
+    :meth:`from_coeffs` is the checked constructor; the raw constructor does
+    not check that ``coeffs`` has length ``degree + 1``.
     """
 
     degree: int
     coeffs: Tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.degree < 0:
-            raise ValueError("degree must be nonnegative")
-        if len(self.coeffs) != self.degree + 1:
-            raise ValueError("coefficient vector must have length degree + 1")
-
     @classmethod
     def from_coeffs(cls, coeffs: Sequence[int]) -> "HomogPoly":
         c = tuple(int(x) for x in coeffs)
+        if not c:
+            raise ValueError("degree must be nonnegative")
         return cls(len(c) - 1, c)
 
 

@@ -6,16 +6,11 @@ The model: a manifold over the product of an n-simplex and an m-simplex is
 encoded by a pair of integer vectors, ``a`` of length m and ``b`` of length
 n.  The facets of the product are the n+1 facets coming from the first factor
 and the m+1 facets from the second.  The characteristic matrix assigns a
-column to each facet:
-
-* identity-first ordering (used for cohomology): columns are the n standard
-  vectors for the first factor's initial facets, then the m standard vectors
-  for the second factor's initial facets, then the two extra facets
-  (-1, ..., -1, -a_1, ..., -a_m) and (-b_1, ..., -b_n, -1, ..., -1);
-* factor-grouped ordering (used for the kernel lattice): all n+1 first-factor
-  columns, then all m+1 second-factor columns.
-
-Conversion between the two is a fixed column permutation.
+column to each facet, grouped by factor: the n standard vectors for the first
+factor's initial facets and its extra facet (-1, ..., -1, -a_1, ..., -a_m),
+then the m standard vectors for the second factor's initial facets and its
+extra facet (-b_1, ..., -b_n, -1, ..., -1).  Both the brute-force validity
+check and the kernel lattice read this one matrix.
 
 Validity in closed form: a_j * b_i must lie in {0, 2} for every pair, i.e.
 1 - a_j*b_i = +-1.  The brute-force route checks, at every vertex of the
@@ -51,7 +46,6 @@ __all__ = [
     "cohomology_presentation",
     "graded_ranks",
     "kernel_lattice",
-    "characteristic_matrix",
     "characteristic_matrix_grouped",
     "kernel_span_vectors",
     "h_vector",
@@ -60,26 +54,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CharPair:
-    """Characteristic pair (n, m, a, b); a has length m and b has length n."""
+    """Characteristic pair (n, m, a, b); a has length m and b has length n.
+
+    :meth:`make` is the checked constructor, and :meth:`from_json_dict`
+    reads JSON through it; the raw constructor does not check its arguments.
+    """
 
     n: int
     m: int
     a: Tuple[int, ...]
     b: Tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.m < 1:
-            raise ValueError("simplex dimensions must be at least 1")
-        if len(self.a) != self.m:
-            raise ValueError(f"a must have length m={self.m}")
-        if len(self.b) != self.n:
-            raise ValueError(f"b must have length n={self.n}")
-        if not all(isinstance(x, int) for x in self.a + self.b):
-            raise ValueError("entries must be integers")
-
     @classmethod
     def make(cls, n: int, m: int, a: Sequence[int], b: Sequence[int]) -> "CharPair":
-        return cls(n, m, tuple(int(x) for x in a), tuple(int(x) for x in b))
+        a, b = tuple(int(x) for x in a), tuple(int(x) for x in b)
+        if n < 1 or m < 1:
+            raise ValueError("simplex dimensions must be at least 1")
+        if len(a) != m:
+            raise ValueError(f"a must have length m={m}")
+        if len(b) != n:
+            raise ValueError(f"b must have length n={n}")
+        return cls(n, m, a, b)
 
     def to_json_dict(self) -> Dict[str, object]:
         return {"n": self.n, "m": self.m, "a": list(self.a), "b": list(self.b)}
@@ -181,23 +176,10 @@ def validate(cp: CharPair) -> bool:
     return all(aj * bi in (0, 2) for aj in cp.a for bi in cp.b)
 
 
-def characteristic_matrix(cp: CharPair) -> IntMatrix:
-    """The (n+m) x (n+m+2) characteristic matrix in identity-first column
-    order: the n+m initial facets give an identity block, then come the two
-    extra facets (one per simplex factor)."""
-    n, m = cp.n, cp.m
-    rows: List[List[int]] = []
-    for i in range(n + m):
-        row = [1 if j == i else 0 for j in range(n + m)]
-        row.append(-1 if i < n else -cp.a[i - n])
-        row.append(-cp.b[i] if i < n else -1)
-        rows.append(row)
-    return IntMatrix.from_rows(rows)
-
-
 def characteristic_matrix_grouped(cp: CharPair) -> IntMatrix:
-    """The same matrix with columns grouped by factor: the n+1 first-factor
-    facets, then the m+1 second-factor facets."""
+    """The (n+m) x (n+m+2) characteristic matrix with columns grouped by
+    factor: the n+1 first-factor facets, then the m+1 second-factor facets,
+    each factor's extra facet last."""
     n, m = cp.n, cp.m
     rows: List[List[int]] = []
     for i in range(n + m):
@@ -218,14 +200,11 @@ def validate_bruteforce(cp: CharPair) -> bool:
     the closed-form product condition.
     """
     n, m = cp.n, cp.m
-    mat = characteristic_matrix(cp)
+    mat = characteristic_matrix_grouped(cp)
     cols = [tuple(mat.at(i, j) for i in range(n + m)) for j in range(n + m + 2)]
-    factor1 = list(range(n)) + [n + m]
-    factor2 = list(range(n, n + m)) + [n + m + 1]
-    facet_order = factor1 + factor2
-    for omit1 in factor1:
-        for omit2 in factor2:
-            selected = [cols[k] for k in facet_order if k != omit1 and k != omit2]
+    for omit1 in range(n + 1):
+        for omit2 in range(n + 1, n + m + 2):
+            selected = [c for k, c in enumerate(cols) if k != omit1 and k != omit2]
             if not is_basis_extendable(selected):
                 return False
     return True

@@ -1,11 +1,13 @@
 """Tests for the command-line front end."""
 
+import ast
 import contextlib
 import io
 import json
 import subprocess
 import sys
 from datetime import timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -330,6 +332,9 @@ _BREACHES = {
         [_zero_pair(1, 1), _bott_pair(2, 1, 10**100)],
     ),
     ("cohomology", "n + m"): (["cohomology", "-"], _zero_pair(8, 7)),
+    # uncapped, printing the presentation raised ValueError: its
+    # coefficients passed the interpreter's digit limit for integers
+    ("cohomology", "entry digits"): (["cohomology", "-"], _bott_pair(2, 2, 10**4000 - 1)),
     ("kernel", "n + m"): (["kernel", "-"], _zero_pair(17, 16)),
     ("oracle-iso", "n + m"): (["oracle-iso", "-"], [_zero_pair(8, 7)] * 2),
     ("oracle-iso", "--bound"): (
@@ -341,6 +346,8 @@ _BREACHES = {
         ["enumerate", "--n", "2", "--m", "1", "--bound", "5"],
         None,
     ),
+    # uncapped, the count passed the same digit limit when printed
+    ("count", "--n"): (["count", "--n", str(10**4000 + 1), "--m", "1"], None),
     ("witness-check", "--n"): (
         ["witness-check", "--family", "fold-r", "--n", "33", "--m", "1", "--s", "1", "--r", "1"],
         None,
@@ -370,6 +377,12 @@ class TestSizeLimits:
     def test_limits_are_inclusive(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(_zero_pair(7, 7))))
         assert run_cli(["cohomology", "-"], capsys)[0] == 0
+        digits = cli.SIZE_LIMITS["cohomology"]["entry digits"]
+        doc = json.dumps(_bott_pair(2, 1, -(10**digits - 1)))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+        assert run_cli(["cohomology", "-"], capsys)[0] == 0
+        largest = str(cli.SIZE_LIMITS["count"]["--n"])
+        assert run_cli(["count", "--n", largest, "--m", largest], capsys)[0] == 0
         doc = json.dumps([_zero_pair(2, 1), _zero_pair(2, 1)])
         monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
         assert run_cli(["oracle-iso", "-", "--bound", "10"], capsys)[0] == 0
@@ -542,3 +555,27 @@ def test_module_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["count"] == 4
+
+
+# value types whose raw dataclass constructor checks nothing
+_UNCHECKED_TYPES = {"CharPair", "IntMatrix", "HomogPoly", "LatticeBasis"}
+
+
+def test_cli_builds_values_only_through_checked_constructors():
+    # outside data must enter through CharPair.from_json_dict; a raw
+    # constructor call in the front end would skip every input check
+    tree = ast.parse(Path(cli.__file__).read_text())
+    aliases = set(_UNCHECKED_TYPES)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            aliases.update(a.asname for a in node.names if a.name in _UNCHECKED_TYPES and a.asname)
+    raw_calls = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Name) and node.func.id in aliases)
+            or (isinstance(node.func, ast.Attribute) and node.func.attr in _UNCHECKED_TYPES)
+        )
+    ]
+    assert raw_calls == [], "raw constructor calls in cli.py at lines %s" % raw_calls

@@ -9,11 +9,9 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from qtoric.lattice import (
     IntMatrix,
-    LatticeBasis,
     determinant,
     is_basis_extendable,
     kernel_basis,
-    lattice_equal,
     lattice_from_generators,
     smith_normal_form,
 )
@@ -139,7 +137,7 @@ class TestKernel:
         )
         k = kernel_basis(m)
         assert k.basis == ((1, 0, 0, 1, 1), (0, 1, 1, 1, -1))
-        assert lattice_equal(k, lattice_from_generators(5, [(1, 1, 1, 2, 0), (1, 0, 0, 1, 1)]))
+        assert k == lattice_from_generators(5, [(1, 1, 1, 2, 0), (1, 0, 0, 1, 1)])
         # near miss: agrees with a true kernel vector in four of five slots
         assert not k.contains((1, 0, 0, 0, 1))
 
@@ -165,20 +163,16 @@ class TestLatticeEqual:
     def test_distinct_index_sublattices(self):
         a = lattice_from_generators(2, [(2, 0), (0, 2)])
         b = lattice_from_generators(2, [(2, 2), (2, -2)])
-        assert not lattice_equal(a, b)
+        assert a != b
 
     def test_same_lattice_different_generators(self):
         a = lattice_from_generators(2, [(1, 0), (0, 1)])
         b = lattice_from_generators(2, [(1, 1), (0, 1)])
-        assert lattice_equal(a, b)
+        assert a == b
 
     def test_reflexive(self):
         a = lattice_from_generators(3, [(1, 2, 3)])
-        assert lattice_equal(a, a)
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            lattice_equal(lattice_from_generators(2, []), lattice_from_generators(3, []))
+        assert a == a
 
     @given(
         st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3), min_size=1, max_size=3),
@@ -194,7 +188,7 @@ class TestLatticeEqual:
         if i != j:
             mixed[i] = [x + c * y for x, y in zip(mixed[i], mixed[j])]
         mixed.append([0, 0, 0])
-        assert lattice_equal(base, lattice_from_generators(3, mixed))
+        assert base == lattice_from_generators(3, mixed)
 
     def test_membership(self):
         lat = lattice_from_generators(3, [(2, 0, 1), (0, 3, 0)])
@@ -228,9 +222,16 @@ class TestExtendable:
 
 
 def test_matrix_shape_validation():
-    with pytest.raises(ValueError):
-        IntMatrix(2, 2, (1, 2, 3))
-    with pytest.raises(ValueError):
+    # the checked constructors; the raw dataclass constructors check nothing
+    with pytest.raises(ValueError, match="rows have unequal lengths"):
         IntMatrix.from_rows([[1, 2], [3]])
-    with pytest.raises(ValueError):
-        LatticeBasis(2, ((1, 2, 3),))
+    with pytest.raises(ValueError, match="cols does not match row length"):
+        IntMatrix.from_rows([[1, 2]], cols=3)
+    with pytest.raises(ValueError, match="empty matrix needs an explicit column count"):
+        IntMatrix.from_rows([])
+    with pytest.raises(ValueError, match="matrix dimensions must be nonnegative"):
+        IntMatrix.from_rows([], cols=-1)
+    with pytest.raises(ValueError, match="generator length differs from ambient dimension"):
+        lattice_from_generators(2, [(1, 2, 3)])
+    with pytest.raises(ValueError, match="ambient dimension must be nonnegative"):
+        lattice_from_generators(-1, [])

@@ -1,6 +1,7 @@
 """Tests for the brute-force isomorphism search and witness checking."""
 
 import ast
+import itertools
 import types
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qtoric import oracle, quasitoric
-from qtoric.lattice import IntMatrix, lattice_equal
+from qtoric.lattice import IntMatrix
 from qtoric.oracle import (
     IsoVerdict,
     _candidate_matrices,
@@ -21,6 +22,8 @@ from qtoric.oracle import (
 from qtoric.polyring import ideal_degree_lattice, substitute_linear
 from qtoric.quasitoric import CharPair, cohomology_presentation, kernel_span_vectors
 
+from pair_reference import filtered_admissible_pairs
+
 
 def _presentation(n, m, a, b):
     return cohomology_presentation(CharPair(n, m, a, b))
@@ -29,7 +32,7 @@ def _presentation(n, m, a, b):
 def _ideals_match_through(p, q, g, dmax):
     image = [substitute_linear(gen, g) for gen in p.gens]
     return all(
-        lattice_equal(ideal_degree_lattice(image, d), ideal_degree_lattice(q.gens, d))
+        ideal_degree_lattice(image, d) == ideal_degree_lattice(q.gens, d)
         for d in range(1, dmax + 1)
     )
 
@@ -101,6 +104,47 @@ class TestRingIsoSearch:
         assert found.to_json_dict() == {"found": True, "matrix": [[1, 0], [0, 1]]}
         missed = IsoVerdict.none_within(3)
         assert missed.to_json_dict() == {"found": False, "bound": 3}
+
+
+# every valid pair with n, m <= 3 and entries in [-3, 3], sorted entries
+_SMALL_PAIRS = [
+    cp
+    for n, m in itertools.product(range(1, 4), repeat=2)
+    for cp in filtered_admissible_pairs(n, m, 3)
+]
+
+
+class TestRingSymmetries:
+    """The symmetries the classification ignores are ring isomorphisms,
+    derived by hand.  With gen1 = x1 prod(x1 + b_i x2) and gen2 = x2
+    prod(a_j x1 + x2): the global sign flip (a, b) -> (-a, -b) is
+    x2 -> -x2, which sends gen1 to gen1' and gen2 to (-1)^(m+1) gen2'; the
+    factor swap is x1 <-> x2, which sends gen1 to gen2' and gen2 to gen1';
+    a permutation of a or of b permutes the linear factors and leaves the
+    presentation as it was."""
+
+    FLIP = IntMatrix.from_rows([[1, 0], [0, -1]])
+    SWAP = IntMatrix.from_rows([[0, 1], [1, 0]])
+
+    def test_sign_flip_and_swap_found(self):
+        for cp in _SMALL_PAIRS:
+            p = cohomology_presentation(cp)
+            negated = CharPair.make(cp.n, cp.m, [-x for x in cp.a], [-x for x in cp.b])
+            dmax = max(cp.n, cp.m) + 1
+            for other, g in ((negated, self.FLIP), (cp.swapped(), self.SWAP)):
+                q = cohomology_presentation(other)
+                assert _ideals_match_through(p, q, g, dmax), (cp, other)
+                verdict = ring_iso_search(p, q, bound=1)
+                assert verdict.found, (cp, other)
+                assert _ideals_match_through(p, q, verdict.matrix, dmax), (cp, other)
+
+    @given(st.sampled_from(_SMALL_PAIRS), st.randoms(use_true_random=False))
+    def test_permutation_gives_identical_presentation(self, cp, rng):
+        a, b = list(cp.a), list(cp.b)
+        rng.shuffle(a)
+        rng.shuffle(b)
+        permuted = CharPair.make(cp.n, cp.m, a, b)
+        assert cohomology_presentation(permuted) == cohomology_presentation(cp)
 
 
 class TestMonomialWitness:

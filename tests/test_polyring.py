@@ -198,5 +198,6 @@ class TestIdealDegreeLattice:
 
 
 def test_homogpoly_shape_validation():
-    with pytest.raises(ValueError):
-        HomogPoly(2, (1, 0))
+    # from_coeffs is the checked constructor; the raw one checks nothing
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        HomogPoly.from_coeffs([])

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -6,14 +7,13 @@ from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from qtoric.lattice import is_basis_extendable, lattice_equal, lattice_from_generators
+from qtoric.lattice import is_basis_extendable, lattice_from_generators
 from qtoric.polyring import HomogPoly, ideal_degree_lattice
 from qtoric.quasitoric import (
     CharPair,
     NormalForm,
     Presentation,
     admissible_normal_forms,
-    characteristic_matrix,
     characteristic_matrix_grouped,
     cohomology_presentation,
     graded_ranks,
@@ -96,9 +96,10 @@ class TestValidate:
         assert not validate_bruteforce(cp(1, 1, [1], [1]))
 
     def test_identity_block_vertices_always_pass(self):
-        # the vertex using only initial facets selects the identity block
-        mat = characteristic_matrix(cp(2, 2, [2, 0], [1, 1]))
-        cols = [tuple(mat.at(i, j) for i in range(4)) for j in range(4)]
+        # the vertex using only initial facets selects the identity block:
+        # grouped columns 0, 1 (first factor) and 3, 4 (second factor)
+        mat = characteristic_matrix_grouped(cp(2, 2, [2, 0], [1, 1]))
+        cols = [tuple(mat.at(i, j) for i in range(4)) for j in (0, 1, 3, 4)]
         assert is_basis_extendable(cols)
 
     @given(arbitrary_pairs)
@@ -231,6 +232,15 @@ class TestGradedRanks:
         gr = graded_ranks(cohomology_presentation(cp(3, 2, [2, 2], [1, 0, 0])))
         assert gr.ranks[0] == 1
 
+    def test_equal_entry_bott_pair_stays_fast(self):
+        # inside the cohomology command's caps; Smith reduction by pivoting
+        # in place lets this pair's entries grow for minutes
+        start = time.perf_counter()
+        gr = graded_ranks(cohomology_presentation(cp(11, 3, [8, 8, 8], [0] * 11)))
+        assert time.perf_counter() - start < 5
+        assert gr.ranks == h_vector(11, 3)
+        assert gr.torsion_free
+
     @given(valid_pairs)
     @settings(max_examples=60, deadline=None)
     def test_h_vector_and_freeness(self, pair):
@@ -283,32 +293,25 @@ class TestKernelLattice:
 
     def test_product_block_pattern(self):
         k = kernel_lattice(cp(2, 2, [0, 0], [0, 0]))
-        assert lattice_equal(
-            k,
-            lattice_from_generators(6, [(1, 1, 1, 0, 0, 0), (0, 0, 0, 1, 1, 1)]),
-        )
+        assert k == lattice_from_generators(6, [(1, 1, 1, 0, 0, 0), (0, 0, 0, 1, 1, 1)])
 
     @given(valid_pairs)
     @settings(max_examples=80, deadline=None)
     def test_matches_explicit_span_and_primitive(self, pair):
         k = kernel_lattice(pair)
         u, v = kernel_span_vectors(pair)
-        assert lattice_equal(
-            k, lattice_from_generators(pair.n + pair.m + 2, [u, v])
-        )
+        assert k == lattice_from_generators(pair.n + pair.m + 2, [u, v])
         assert k.rank == 2
         assert is_basis_extendable(k.basis)
 
     def test_grouped_matrix_column_permutation(self):
-        pair = cp(2, 1, [2], [1, 0])
-        plain = characteristic_matrix(pair)
-        grouped = characteristic_matrix_grouped(pair)
-        # identity-first column order is F1 F2 G1 F3 G2; picking plain
-        # columns 0,1,3,2,4 reproduces the grouped order F1 F2 F3 G1 G2
+        grouped = characteristic_matrix_grouped(cp(2, 1, [2], [1, 0]))
+        # the grouped column order is F1 F2 F3 G1 G2; picking columns
+        # 0,1,3,2,4 gives the identity-first order F1 F2 G1 F3 G2: an
+        # identity block, then the extra facets (-1, -1, -a) and (-b, -1)
         perm = [0, 1, 3, 2, 4]
-        rows = plain.to_rows()
-        permuted = tuple(tuple(r[j] for j in perm) for r in rows)
-        assert permuted == grouped.to_rows()
+        permuted = tuple(tuple(r[j] for j in perm) for r in grouped.to_rows())
+        assert permuted == ((1, 0, 0, -1, -1), (0, 1, 0, -1, 0), (0, 0, 1, -2, -1))
 
 
 class TestJson:
@@ -334,10 +337,18 @@ class TestJson:
             CharPair.from_json_dict(obj)
 
     def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            CharPair(1, 1, (0, 0), (0,))
-        with pytest.raises(ValueError):
-            CharPair(0, 1, (0,), ())
+        # make is the checked constructor, and from_json_dict reads through
+        # it; the raw constructor checks nothing
+        for (n, m, a, b), message in (
+            ((1, 1, (0, 0), (0,)), "a must have length m=1"),
+            ((1, 1, (0,), (0, 0)), "b must have length n=1"),
+            ((0, 1, (0,), ()), "simplex dimensions must be at least 1"),
+            ((1, 0, (), (0,)), "simplex dimensions must be at least 1"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                CharPair.make(n, m, a, b)
+            with pytest.raises(ValueError, match=message):
+                CharPair.from_json_dict({"n": n, "m": m, "a": list(a), "b": list(b)})
 
 
 class TestAdmissiblePairs:
