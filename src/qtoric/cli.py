@@ -1,14 +1,15 @@
 """Command-line front end.
 
-Every command prints one machine-readable report to standard output and
-returns a contractual exit code:
+Every command returns one machine-readable report, which ``main`` prints
+to standard output, and ``main`` returns a contractual exit code:
 
     0   success (including negative but well-posed verdicts)
     2   usage error: bad flags, unreadable file, malformed JSON or schema
     3   mathematically invalid input (the validity condition fails)
     4   internal consistency failure: the closed-form layer and an
         independent oracle disagree, or a built-in certificate fails its own
-        check; this code is a test-harness hook and should never appear
+        check; the report is printed first, then the message on standard
+        error; this code is a test-harness hook and should never appear
 
 Characteristic pairs are read from a file path or from standard input when
 the path is "-", as JSON: {"n": int, "m": int, "a": [int]*m, "b": [int]*n}.
@@ -24,7 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .classify import (
     canonical_class,
@@ -88,10 +89,6 @@ class InvalidInputError(Exception):
     pass
 
 
-class ConsistencyError(Exception):
-    pass
-
-
 def _read_document(path: str):
     try:
         if path == "-":
@@ -120,21 +117,6 @@ def _read_pair(path: str) -> CharPair:
     return _pair_from_document(_read_document(path))
 
 
-def _read_two_pairs(paths: List[str]) -> tuple:
-    if len(paths) not in (1, 2):
-        raise UsageError("expected one or two inputs, got %d" % len(paths))
-    if len(paths) == 1:
-        doc = _read_document(paths[0])
-        if not isinstance(doc, list) or len(doc) != 2:
-            raise UsageError(
-                "single input must be a JSON array of two characteristic pairs"
-            )
-        return _pair_from_document(doc[0]), _pair_from_document(doc[1])
-    if paths.count("-") > 1:
-        raise UsageError("at most one input may be standard input")
-    return _read_pair(paths[0]), _read_pair(paths[1])
-
-
 def _check_size(args, quantity: str, value: Optional[int]) -> None:
     limit = SIZE_LIMITS[args.command][quantity]
     if value is not None and value > limit:
@@ -158,13 +140,27 @@ def _require_valid(cp: CharPair) -> None:
         )
 
 
-def _print_json(report) -> None:
-    print(json.dumps(report, indent=2, sort_keys=True))
-
-
-def _print_tsv(rows: List[List[object]]) -> None:
-    for row in rows:
-        print("\t".join("" if cell is None else str(cell) for cell in row))
+def _read_valid_pairs(args, paths: List[str], count: int) -> List[CharPair]:
+    """A command's ``count`` pairs, one per path or, for two pairs, both
+    from one document holding a two-element array; checked for size, then
+    for validity."""
+    if len(paths) == count:
+        if paths.count("-") > 1:
+            raise UsageError("at most one input may be standard input")
+        pairs = [_read_pair(path) for path in paths]
+    elif len(paths) == 1:
+        doc = _read_document(paths[0])
+        if not isinstance(doc, list) or len(doc) != count:
+            raise UsageError(
+                "single input must be a JSON array of two characteristic pairs"
+            )
+        pairs = [_pair_from_document(item) for item in doc]
+    else:
+        raise UsageError("expected one or two inputs, got %d" % len(paths))
+    _check_pair_sizes(args, *pairs)
+    for cp in pairs:
+        _require_valid(cp)
+    return pairs
 
 
 def _join(values) -> str:
@@ -198,41 +194,31 @@ _CLASS_TSV_HEADER = [
     "rep_b",
 ]
 
+# What each command returns: its JSON report, its TSV rows, and the
+# disagreement between the closed form and an oracle, or None.
+_Outcome = Tuple[object, List[List[object]], Optional[str]]
 
-def cmd_validate(args) -> int:
+
+def cmd_validate(args) -> _Outcome:
     cp = _read_pair(args.input)
     _check_pair_sizes(args, cp)
     fast = validate(cp)
     slow = validate_bruteforce(cp)
     report = {"valid": fast, "oracle_valid": slow, "agreement": fast == slow}
-    if args.format == "tsv":
-        _print_tsv(
-            [["valid", "oracle_valid", "agreement"], [fast, slow, fast == slow]]
-        )
-    else:
-        _print_json(report)
+    rows = [["valid", "oracle_valid", "agreement"], [fast, slow, fast == slow]]
     if fast != slow:
-        raise ConsistencyError("validity closed form disagrees with brute force")
-    return EXIT_OK
+        return report, rows, "validity closed form disagrees with brute force"
+    return report, rows, None
 
 
-def cmd_classify(args) -> int:
-    cp = _read_pair(args.input)
-    _check_pair_sizes(args, cp)
-    _require_valid(cp)
+def cmd_classify(args) -> _Outcome:
+    (cp,) = _read_valid_pairs(args, [args.input], 1)
     label = canonical_class(cp)
-    if args.format == "tsv":
-        _print_tsv([_CLASS_TSV_HEADER, _class_tsv_row(label)])
-    else:
-        _print_json(label.to_json_dict())
-    return EXIT_OK
+    return label.to_json_dict(), [_CLASS_TSV_HEADER, _class_tsv_row(label)], None
 
 
-def cmd_compare(args) -> int:
-    cp1, cp2 = _read_two_pairs(args.inputs)
-    _check_pair_sizes(args, cp1, cp2)
-    _require_valid(cp1)
-    _require_valid(cp2)
+def cmd_compare(args) -> _Outcome:
+    cp1, cp2 = _read_valid_pairs(args, args.inputs, 2)
     verdict, rule = homeomorphic(cp1, cp2)
     report = {
         "homeomorphic": verdict,
@@ -240,53 +226,38 @@ def cmd_compare(args) -> int:
         "left": canonical_class(cp1).to_json_dict(),
         "right": canonical_class(cp2).to_json_dict(),
     }
-    if args.format == "tsv":
-        _print_tsv([["homeomorphic", "rule"], [verdict, rule]])
-    else:
-        _print_json(report)
-    return EXIT_OK
+    return report, [["homeomorphic", "rule"], [verdict, rule]], None
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args) -> _Outcome:
     _check_size(args, "--n", args.n)
     _check_size(args, "--bound", args.bound)
     try:
         classes = enumerate_classes(args.n, args.m, args.bound)
     except ValueError as exc:
         raise UsageError(str(exc))
-    if args.format == "tsv":
-        rows = [_CLASS_TSV_HEADER] + [_class_tsv_row(c) for c in classes]
-        _print_tsv(rows)
-    else:
-        _print_json(
-            {
-                "n": args.n,
-                "m": args.m,
-                "bound": args.bound,
-                "count": len(classes),
-                "classes": [c.to_json_dict() for c in classes],
-            }
-        )
-    return EXIT_OK
+    report = {
+        "n": args.n,
+        "m": args.m,
+        "bound": args.bound,
+        "count": len(classes),
+        "classes": [c.to_json_dict() for c in classes],
+    }
+    return report, [_CLASS_TSV_HEADER] + [_class_tsv_row(c) for c in classes], None
 
 
-def cmd_count(args) -> int:
+def cmd_count(args) -> _Outcome:
     _check_size(args, "--n", args.n)
     try:
         value = count_nonbott(args.n, args.m)
     except ValueError as exc:
         raise UsageError(str(exc))
-    if args.format == "tsv":
-        _print_tsv([["n", "m", "count"], [args.n, args.m, value]])
-    else:
-        _print_json({"n": args.n, "m": args.m, "count": value})
-    return EXIT_OK
+    report = {"n": args.n, "m": args.m, "count": value}
+    return report, [["n", "m", "count"], [args.n, args.m, value]], None
 
 
-def cmd_cohomology(args) -> int:
-    cp = _read_pair(args.input)
-    _check_pair_sizes(args, cp)
-    _require_valid(cp)
+def cmd_cohomology(args) -> _Outcome:
+    (cp,) = _read_valid_pairs(args, [args.input], 1)
     pres = cohomology_presentation(cp)
     ranks = graded_ranks(pres)
     report = {
@@ -295,48 +266,33 @@ def cmd_cohomology(args) -> int:
         "h_vector": list(h_vector(cp.n, cp.m)),
         "torsion_free": ranks.torsion_free,
     }
-    if args.format == "tsv":
-        _print_tsv(
-            [
-                ["gen1", pres.gen1.degree, _join(pres.gen1.coeffs)],
-                ["gen2", pres.gen2.degree, _join(pres.gen2.coeffs)],
-                ["ranks", None, _join(ranks.ranks)],
-            ]
-        )
-    else:
-        _print_json(report)
-    return EXIT_OK
+    rows = [
+        ["gen1", pres.gen1.degree, _join(pres.gen1.coeffs)],
+        ["gen2", pres.gen2.degree, _join(pres.gen2.coeffs)],
+        ["ranks", None, _join(ranks.ranks)],
+    ]
+    return report, rows, None
 
 
-def cmd_kernel(args) -> int:
-    cp = _read_pair(args.input)
-    _check_pair_sizes(args, cp)
-    _require_valid(cp)
+def cmd_kernel(args) -> _Outcome:
+    (cp,) = _read_valid_pairs(args, [args.input], 1)
     basis = kernel_lattice(cp)
     rows = [list(v) for v in basis.basis]
-    if args.format == "tsv":
-        _print_tsv(rows)
-    else:
-        _print_json(
-            {
-                "n": cp.n,
-                "m": cp.m,
-                "ambient_dim": basis.ambient_dim,
-                "rank": basis.rank,
-                "basis": rows,
-            }
-        )
-    return EXIT_OK
+    report = {
+        "n": cp.n,
+        "m": cp.m,
+        "ambient_dim": basis.ambient_dim,
+        "rank": basis.rank,
+        "basis": rows,
+    }
+    return report, rows, None
 
 
-def cmd_oracle_iso(args) -> int:
+def cmd_oracle_iso(args) -> _Outcome:
     if args.bound < 0:
         raise UsageError("--bound must be nonnegative")
     _check_size(args, "--bound", args.bound)
-    cp1, cp2 = _read_two_pairs(args.inputs)
-    _check_pair_sizes(args, cp1, cp2)
-    _require_valid(cp1)
-    _require_valid(cp2)
+    cp1, cp2 = _read_valid_pairs(args, args.inputs, 2)
     p1, p2 = cohomology_presentation(cp1), cohomology_presentation(cp2)
     try:
         verdict = ring_iso_search(p1, p2, args.bound)
@@ -348,24 +304,19 @@ def cmd_oracle_iso(args) -> int:
     report["homeomorphic"] = homeo
     report["rule"] = rule
     report["agreement"] = verdict.found == homeo
-    if args.format == "tsv":
-        _print_tsv(
-            [
-                ["found", "homeomorphic", "rule", "agreement"],
-                [verdict.found, homeo, rule, verdict.found == homeo],
-            ]
-        )
-    else:
-        _print_json(report)
+    rows = [
+        ["found", "homeomorphic", "rule", "agreement"],
+        [verdict.found, homeo, rule, verdict.found == homeo],
+    ]
     if verdict.found and not homeo:
-        raise ConsistencyError(
+        return report, rows, (
             "bounded search found an isomorphism between classes the closed "
             "form separates"
         )
-    return EXIT_OK
+    return report, rows, None
 
 
-def cmd_witness_check(args) -> int:
+def cmd_witness_check(args) -> _Outcome:
     _check_size(args, "--n", args.n)
     _check_size(args, "--m", args.m)
     missing = [p for p in WITNESS_PARAMS[args.family] if getattr(args, p) is None]
@@ -392,22 +343,10 @@ def cmd_witness_check(args) -> int:
         "ok": ok,
         "witness": witness.to_json_dict(),
     }
-    if args.format == "tsv":
-        _print_tsv([["family", "ok"], [args.family, ok]])
-    else:
-        _print_json(report)
+    rows = [["family", "ok"], [args.family, ok]]
     if not ok:
-        raise ConsistencyError("built-in certificate failed its own check")
-    return EXIT_OK
-
-
-def _add_format(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format",
-        choices=("json", "tsv"),
-        default="json",
-        help="output format (default json)",
-    )
+        return report, rows, "built-in certificate failed its own check"
+    return report, rows, None
 
 
 def _add_single_input(parser: argparse.ArgumentParser) -> None:
@@ -438,42 +377,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check the characteristic condition")
     _add_single_input(p)
-    _add_format(p)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("classify", help="canonical homeomorphism-class label")
     _add_single_input(p)
-    _add_format(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("compare", help="decide homeomorphism of two pairs")
     _add_double_input(p)
-    _add_format(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("enumerate", help="all classes within an entry bound")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--bound", type=int, default=3)
-    _add_format(p)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("count", help="closed-form count of non-Bott classes")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    _add_format(p)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser(
         "cohomology", help="ring presentation and graded ranks"
     )
     _add_single_input(p)
-    _add_format(p)
     p.set_defaults(func=cmd_cohomology)
 
     p = sub.add_parser("kernel", help="free-subtorus weight lattice basis")
     _add_single_input(p)
-    _add_format(p)
     p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser(
@@ -483,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_double_input(p)
     p.add_argument("--bound", type=int, default=3)
-    _add_format(p)
     p.set_defaults(func=cmd_oracle_iso)
 
     p = sub.add_parser(
@@ -497,9 +428,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int)
     p.add_argument("--a", type=int)
     p.add_argument("--b", type=int)
-    _add_format(p)
     p.set_defaults(func=cmd_witness_check)
 
+    for p in sub.choices.values():
+        p.add_argument(
+            "--format",
+            choices=("json", "tsv"),
+            default="json",
+            help="output format (default json)",
+        )
     return parser
 
 
@@ -507,16 +444,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        report, rows, disagreement = args.func(args)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except InvalidInputError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INVALID
-    except ConsistencyError as exc:
-        print("internal consistency failure: %s" % exc, file=sys.stderr)
+    if args.format == "tsv":
+        for row in rows:
+            print("\t".join("" if cell is None else str(cell) for cell in row))
+    else:
+        print(json.dumps(report, indent=2, sort_keys=True))
+    if disagreement is not None:
+        # the report goes out first, so the disagreeing verdicts are on record
+        print("internal consistency failure: %s" % disagreement, file=sys.stderr)
         return EXIT_INCONSISTENT
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -70,14 +70,6 @@ class IsoVerdict:
     matrix: Optional[IntMatrix] = None
     bound: Optional[int] = None
 
-    @classmethod
-    def found_matrix(cls, g: IntMatrix) -> "IsoVerdict":
-        return cls(found=True, matrix=g)
-
-    @classmethod
-    def none_within(cls, bound: int) -> "IsoVerdict":
-        return cls(found=False, bound=bound)
-
     def to_json_dict(self) -> Dict[str, object]:
         if self.found:
             return {
@@ -185,8 +177,8 @@ def ring_iso_search(p: Presentation, q: Presentation, bound: int = 3) -> IsoVerd
             # and the target must lie in the image ideal
             pieces = {d: ideal_degree_lattice(image, d) for d in target}
             if all(pieces[t.degree].contains(t.coeffs) for t in q.gens):
-                return IsoVerdict.found_matrix(g)
-    return IsoVerdict.none_within(bound)
+                return IsoVerdict(found=True, matrix=g)
+    return IsoVerdict(found=False, bound=bound)
 
 
 def weight_matrix(cp: CharPair) -> IntMatrix:

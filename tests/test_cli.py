@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtoric import cli
+from qtoric.oracle import builtin_witness, ring_iso_search
+from qtoric.quasitoric import CharPair, cohomology_presentation
 
 
 def run_cli(args, capsys):
@@ -460,6 +462,100 @@ class TestWitnessCheck:
         assert exc.value.code == 2
 
 
+def _run_on_one_stream(argv, stdin_text, monkeypatch):
+    # stdout and stderr share one buffer, so the order of report and
+    # message shows
+    stream = io.StringIO()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+    with contextlib.redirect_stdout(stream), contextlib.redirect_stderr(stream):
+        code = cli.main(argv)
+    return code, stream.getvalue()
+
+
+def _json_text(report):
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+_FOLD_PAIRS = [
+    {"n": 2, "m": 2, "a": [2, 0], "b": [1, 0]},
+    {"n": 2, "m": 2, "a": [2, 2], "b": [1, 0]},
+]
+
+
+class TestConsistencyFailure:
+    """Exit 4: the full report goes to stdout first, then the message to
+    stderr.  Each cross-check is made to disagree by replacing the oracle
+    or the closed form that the front end imported."""
+
+    @pytest.mark.parametrize(
+        "fmt, report",
+        [
+            ("json", _json_text({"valid": True, "oracle_valid": False, "agreement": False})),
+            ("tsv", "valid\toracle_valid\tagreement\nTrue\tFalse\tFalse\n"),
+        ],
+        ids=["json", "tsv"],
+    )
+    def test_validate(self, monkeypatch, fmt, report):
+        monkeypatch.setattr(cli, "validate_bruteforce", lambda cp: False)
+        code, text = _run_on_one_stream(
+            ["validate", "-", "--format", fmt], json.dumps(_zero_pair(2, 1)), monkeypatch
+        )
+        assert code == 4
+        assert text == report + (
+            "internal consistency failure: validity closed form disagrees with brute force\n"
+        )
+
+    @pytest.mark.parametrize("fmt", ["json", "tsv"])
+    def test_witness_check(self, monkeypatch, fmt):
+        monkeypatch.setattr(cli, "witness_check", lambda u, u_prime, witness: False)
+        argv = ["witness-check", "--family", "fold-r", "--n", "3", "--m", "2", "--s", "1", "--r", "1"]
+        code, text = _run_on_one_stream(argv + ["--format", fmt], "", monkeypatch)
+        assert code == 4
+        witness = builtin_witness("fold-r", n=3, m=2, s=1, r=1)[2]
+        if fmt == "json":
+            report = _json_text({"family": "fold-r", "ok": False, "witness": witness.to_json_dict()})
+        else:
+            report = "family\tok\nfold-r\tFalse\n"
+        assert text == report + (
+            "internal consistency failure: built-in certificate failed its own check\n"
+        )
+
+    @pytest.mark.parametrize("fmt", ["json", "tsv"])
+    def test_oracle_iso_found_but_separated(self, monkeypatch, fmt):
+        monkeypatch.setattr(cli, "homeomorphic", lambda cp1, cp2: (False, "forced"))
+        code, text = _run_on_one_stream(
+            ["oracle-iso", "-", "--format", fmt], json.dumps(_FOLD_PAIRS), monkeypatch
+        )
+        assert code == 4
+        p, q = (cohomology_presentation(CharPair.from_json_dict(d)) for d in _FOLD_PAIRS)
+        report = ring_iso_search(p, q, 3).to_json_dict()
+        assert report["found"] is True
+        if fmt == "json":
+            report.update(homeomorphic=False, rule="forced", agreement=False)
+            report = _json_text(report)
+        else:
+            report = "found\thomeomorphic\trule\tagreement\nTrue\tFalse\tforced\tFalse\n"
+        assert text == report + (
+            "internal consistency failure: bounded search found an isomorphism "
+            "between classes the closed form separates\n"
+        )
+
+    def test_oracle_iso_miss_within_bound_is_not_a_failure(self, monkeypatch):
+        # the search is one-sided: finding nothing within the bound does not
+        # contradict a positive verdict, so this exits 0 with agreement false
+        code, text = _run_on_one_stream(
+            ["oracle-iso", "-", "--bound", "0"], json.dumps(_FOLD_PAIRS), monkeypatch
+        )
+        assert code == 0
+        assert json.loads(text) == {
+            "found": False,
+            "bound": 0,
+            "homeomorphic": True,
+            "rule": "sr-fold",
+            "agreement": False,
+        }
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
@@ -545,6 +641,21 @@ class TestFuzz:
         if code:
             assert out == ""
             assert err
+
+
+# argv, stdin, stdout, stderr and exit code of every subcommand in JSON and
+# TSV, with usage errors, invalid pairs and size breaches, as recorded once:
+# the CLI's output bytes are part of its contract
+_GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", _GOLDEN, ids=[" ".join(c["argv"]) for c in _GOLDEN])
+def test_golden_output(case):
+    assert _run_in_process(case["argv"], case["stdin"]) == (
+        case["exit"],
+        case["stdout"],
+        case["stderr"],
+    )
 
 
 def test_module_entry_point(tmp_path):
