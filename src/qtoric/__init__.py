@@ -1,109 +1,25 @@
 """Exact classification of quasitoric manifolds over a product of two
 simplices (second Betti number 2), with integer-lattice and polynomial
 machinery, closed-form homeomorphism decisions, and independent brute-force
-oracles."""
+oracles.
 
-from .lattice import (
-    IntMatrix,
-    LatticeBasis,
-    determinant,
-    is_basis_extendable,
-    kernel_basis,
-    lattice_from_generators,
-    smith_normal_form,
-)
-from .polyring import (
-    HomogPoly,
-    homog_mul,
-    ideal_degree_lattice,
-    linear_product,
-    substitute_linear,
-    trunc_product_identity,
-)
-from .quasitoric import (
-    CharPair,
-    GradedRanks,
-    NormalForm,
-    Presentation,
-    admissible_normal_forms,
-    characteristic_matrix_grouped,
-    cohomology_presentation,
-    graded_ranks,
-    h_vector,
-    is_generalized_bott,
-    kernel_lattice,
-    kernel_span_vectors,
-    normalize,
-    validate,
-    validate_bruteforce,
-)
-from .classify import (
-    HomeoClass,
-    canonical_class,
-    count_nonbott,
-    enumerate_classes,
-    homeomorphic,
-    is_nonbott_class,
-    same_class,
-    tilde_canonical,
-    tilde_equiv,
-)
-from .oracle import (
-    WITNESS_FAMILIES,
-    IsoVerdict,
-    MonomialWitness,
-    builtin_witness,
-    ring_iso_search,
-    weight_matrix,
-    witness_check,
-)
+The package exports the public names of its five library layers, each
+declared once, in its module's ``__all__``."""
+
+from . import classify, lattice, oracle, polyring, quasitoric
+from .lattice import *
+from .polyring import *
+from .quasitoric import *
+from .classify import *
+from .oracle import *
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "IntMatrix",
-    "LatticeBasis",
-    "determinant",
-    "is_basis_extendable",
-    "kernel_basis",
-    "lattice_from_generators",
-    "smith_normal_form",
-    "HomogPoly",
-    "homog_mul",
-    "ideal_degree_lattice",
-    "linear_product",
-    "substitute_linear",
-    "trunc_product_identity",
-    "CharPair",
-    "GradedRanks",
-    "NormalForm",
-    "Presentation",
-    "admissible_normal_forms",
-    "characteristic_matrix_grouped",
-    "cohomology_presentation",
-    "graded_ranks",
-    "h_vector",
-    "is_generalized_bott",
-    "kernel_lattice",
-    "kernel_span_vectors",
-    "normalize",
-    "validate",
-    "validate_bruteforce",
-    "HomeoClass",
-    "canonical_class",
-    "count_nonbott",
-    "enumerate_classes",
-    "homeomorphic",
-    "is_nonbott_class",
-    "same_class",
-    "tilde_canonical",
-    "tilde_equiv",
-    "WITNESS_FAMILIES",
-    "IsoVerdict",
-    "MonomialWitness",
-    "builtin_witness",
-    "ring_iso_search",
-    "weight_matrix",
-    "witness_check",
-    "__version__",
-]
+__all__ = (
+    lattice.__all__
+    + polyring.__all__
+    + quasitoric.__all__
+    + classify.__all__
+    + oracle.__all__
+    + ["__version__"]
+)

@@ -2,12 +2,13 @@
 
 The decision layer sits on three mechanisms:
 
-* ``tilde_equiv``: the truncated-product equivalence on integer vectors that
-  decides when two projective-bundle (generalized Bott) classes coincide.
-  The degree-1 coefficient of the defining identity forces the shift w, so
-  the decision is a two-branch check, complete and terminating.
-  ``tilde_canonical`` is its complete invariant: a canonical representative
-  of the orbit, so equal invariants mean equivalent vectors and vice versa.
+* the truncated-product equivalence on integer vectors, which decides when
+  two projective-bundle (generalized Bott) classes coincide: u and u' are
+  equivalent at order ell when some eps in {+1, -1} and integer w give
+  prod(1 + u_i x) = (1 + eps*w*x) * prod(1 + eps*(u'_i + w)*x) modulo
+  x^(ell+1).  ``tilde_canonical`` is its complete invariant: a canonical
+  representative of the orbit, so equal invariants mean equivalent vectors
+  and vice versa.
 * the (s, r) fold: a non-Bott normalized pair is determined by the count s of
   value-2 entries and the count r of value-1 entries; a class and its fold
   (s -> len+1-s, r -> len+1-r) are homeomorphic, everything else with the
@@ -21,9 +22,9 @@ The decision layer sits on three mechanisms:
 
 Class labels carry one complete key: ``HomeoClass.key`` is equal for two
 labels exactly when the manifolds are homeomorphic (Bott labels are keyed by
-the ``tilde_canonical`` series of their twisting vector), and labels compare
-and hash by it.  ``same_class`` is key equality plus the name of the rule
-that decides it.
+the ``tilde_canonical`` series of their twisting vector), computed at most
+once per label, and labels compare and hash by it.  ``same_class`` is key
+equality plus the name of the rule that decides it.
 
 A label depends on the normal form alone: ``canonical_class`` is
 ``normalize`` followed by ``_label``.  So ``enumerate_classes`` labels the
@@ -37,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .polyring import _trunc_linear_product, trunc_product_identity
+from .polyring import _trunc_linear_product
 from .quasitoric import (
     CharPair,
     NormalForm,
@@ -48,7 +49,6 @@ from .quasitoric import (
 
 __all__ = [
     "HomeoClass",
-    "tilde_equiv",
     "tilde_canonical",
     "canonical_class",
     "same_class",
@@ -72,34 +72,11 @@ _FAMILY_ORDER = {
 _NONBOTT_FAMILIES = frozenset({"nonbott", "connsum-plus", "special-m21"})
 
 
-def tilde_equiv(u: Tuple[int, ...], u_prime: Tuple[int, ...], ell: int) -> bool:
-    """Decide the truncated-product equivalence of two integer vectors.
-
-    True iff there exist eps in {+1, -1} and an integer w with
-    prod(1 + u_i x) = (1 + eps*w*x) * prod(1 + eps*(u'_i + w)*x) modulo
-    x^(ell+1).  Comparing degree-1 coefficients forces
-    (k+1)*w = eps*sum(u) - sum(u'), so each sign branch either fails the
-    divisibility or pins w; no search is involved.
-    """
-    k = len(u)
-    if k < 1 or len(u_prime) != k:
-        raise ValueError("vectors must share a positive length")
-    if ell < 1:
-        raise ValueError("truncation order must be at least 1")
-    su = sum(u)
-    sv = sum(u_prime)
-    for eps in (1, -1):
-        numerator = eps * su - sv
-        if numerator % (k + 1) == 0:
-            w = numerator // (k + 1)
-            if trunc_product_identity(u, u_prime, eps, w, ell):
-                return True
-    return False
-
-
 def tilde_canonical(u: Tuple[int, ...], ell: int) -> Tuple[int, ...]:
-    """Complete invariant of ``tilde_equiv``: equal for u and u' exactly
-    when ``tilde_equiv(u, u', ell)`` holds.
+    """Complete invariant of the truncated-product equivalence: equal for u
+    and u' exactly when there exist eps in {+1, -1} and an integer w with
+    prod(1 + u_i x) = (1 + eps*w*x) * prod(1 + eps*(u'_i + w)*x) modulo
+    x^(ell+1).
 
     The equivalence is the orbit relation of the infinite dihedral group on
     truncated series S(x) = prod(1 + u_i x) mod x^(ell+1): the shift w sends
@@ -151,16 +128,26 @@ class HomeoClass:
     vec: Optional[Tuple[int, ...]] = None
     representative: Optional[CharPair] = None
 
+    # the key once computed; unannotated, so it is not a dataclass field
+    _key = None
+
     @property
     def key(self) -> Tuple:
         """The complete invariant: equal exactly when the classes are
-        homeomorphic.
+        homeomorphic.  Computed on first use and kept.
 
         Non-Bott labels are exact, so their fields form the key.  A Bott
         label is keyed by the ``tilde_canonical`` series of its twisting
         vector on its side; vectors equivalent to zero, whose series is 1,
         all take the product key, which both sides share.
         """
+        # functools.cached_property would do, but on Python 3.11 its first
+        # access costs about 10% of enumerate_classes
+        if self._key is None:
+            object.__setattr__(self, "_key", self._compute_key())
+        return self._key
+
+    def _compute_key(self) -> Tuple:
         base = (self.n, self.m)
         if self.family == "nonbott":
             return base + ("nb", self.s, self.r, self.orientation)

@@ -81,10 +81,6 @@ class IntMatrix:
         flat = tuple(x for r in row_list for x in r)
         return cls(len(row_list), width, flat)
 
-    @classmethod
-    def identity(cls, k: int) -> "IntMatrix":
-        return cls(k, k, tuple(1 if i == j else 0 for i in range(k) for j in range(k)))
-
     def at(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
 

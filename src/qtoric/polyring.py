@@ -25,7 +25,6 @@ from .lattice import IntMatrix, LatticeBasis, lattice_from_generators
 
 __all__ = [
     "HomogPoly",
-    "homog_mul",
     "linear_product",
     "substitute_linear",
     "trunc_product_identity",
@@ -66,11 +65,6 @@ def _convolve(p: Sequence[int], q: Sequence[int]) -> List[int]:
             if b:
                 out[i + j] += a * b
     return out
-
-
-def homog_mul(p: HomogPoly, q: HomogPoly) -> HomogPoly:
-    """Exact product; degree adds, coefficients convolve."""
-    return HomogPoly(p.degree + q.degree, tuple(_convolve(p.coeffs, q.coeffs)))
 
 
 def linear_product(lead: Tuple[int, int], factors: Sequence[Tuple[int, int]]) -> HomogPoly:

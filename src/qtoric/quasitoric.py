@@ -42,7 +42,6 @@ __all__ = [
     "validate_bruteforce",
     "normalize",
     "admissible_normal_forms",
-    "is_generalized_bott",
     "cohomology_presentation",
     "graded_ranks",
     "kernel_lattice",
@@ -109,8 +108,9 @@ class NormalForm:
 
     Guarantees n >= m, entries sign-normalized, nonzero entries first within
     each vector (descending), and records which side carries the value-2
-    entries.  ``orientation`` is "bott" when a or b vanishes, otherwise "a2"
-    or "b2".
+    entries.  ``orientation`` is "bott" when a or b vanishes (a two-stage
+    generalized Bott tower), otherwise "a2" or "b2".  For n != m a pair and
+    its factor swap have the same normal form.
     """
 
     n: int
@@ -118,7 +118,6 @@ class NormalForm:
     a: Tuple[int, ...]
     b: Tuple[int, ...]
     orientation: str
-    swap_applied: bool
 
     @property
     def char_pair(self) -> CharPair:
@@ -251,20 +250,12 @@ def normalize(cp: CharPair) -> NormalForm:
         b = _canonical_sign(b)
         orientation = "bott"
     n, m = cp.n, cp.m
-    swap = n < m
-    if swap:
+    if n < m:
         n, m = m, n
         a, b = b, a
         if orientation != "bott":
             orientation = "b2" if orientation == "a2" else "a2"
-    return NormalForm(n, m, a, b, orientation, swap)
-
-
-def is_generalized_bott(nf: NormalForm) -> bool:
-    """Whether the manifold is a two-stage generalized Bott tower, i.e. one of
-    the two vectors vanishes.  When both are nonzero some product equals 2 and
-    the data cannot be conjugated into triangular shape."""
-    return nf.orientation == "bott"
+    return NormalForm(n, m, a, b, orientation)
 
 
 def cohomology_presentation(cp: CharPair) -> Presentation:
@@ -343,7 +334,7 @@ def _bott_vectors(length: int, bound: int) -> Iterable[Tuple[int, ...]]:
 
 def admissible_normal_forms(n: int, m: int, bound: int) -> Iterable[NormalForm]:
     """The normal form of every valid pair with entries in [-bound, bound],
-    each exactly once.  Needs n >= m, so no form carries a factor swap.
+    each exactly once.  Needs n >= m, the order every normal form has.
 
     Since every a_j * b_i lies in {0, 2}, a normal form has one of three
     shapes: the zero pair; one vector zero and the other a nonzero multiset
@@ -359,11 +350,11 @@ def admissible_normal_forms(n: int, m: int, bound: int) -> Iterable[NormalForm]:
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     zero_a, zero_b = (0,) * m, (0,) * n
-    yield NormalForm(n, m, zero_a, zero_b, "bott", False)
+    yield NormalForm(n, m, zero_a, zero_b, "bott")
     for a in _bott_vectors(m, bound):
-        yield NormalForm(n, m, a, zero_b, "bott", False)
+        yield NormalForm(n, m, a, zero_b, "bott")
     for b in _bott_vectors(n, bound):
-        yield NormalForm(n, m, zero_a, b, "bott", False)
+        yield NormalForm(n, m, zero_a, b, "bott")
     if bound < 2:
         return
     for alpha, beta, orientation in ((2, 1, "a2"), (1, 2, "b2")):
@@ -371,4 +362,4 @@ def admissible_normal_forms(n: int, m: int, bound: int) -> Iterable[NormalForm]:
             a = (alpha,) * q + (0,) * (m - q)
             for p in range(1, n + 1):
                 b = (beta,) * p + (0,) * (n - p)
-                yield NormalForm(n, m, a, b, orientation, False)
+                yield NormalForm(n, m, a, b, orientation)

@@ -1,8 +1,11 @@
-"""The filtered reference for ``admissible_normal_forms``, shared by the
-tests."""
+"""Pairwise references shared by the tests: the filtered listing that
+``admissible_normal_forms`` must reproduce, and the two-branch decision of
+the truncated-product equivalence that ``tilde_canonical`` must agree with."""
 
 import itertools
+from typing import Tuple
 
+from qtoric.polyring import trunc_product_identity
 from qtoric.quasitoric import CharPair, validate
 
 
@@ -18,3 +21,28 @@ def filtered_admissible_pairs(n, m, bound):
             cp = CharPair(n, m, a, b)
             if validate(cp):
                 yield cp
+
+
+def tilde_equiv(u: Tuple[int, ...], u_prime: Tuple[int, ...], ell: int) -> bool:
+    """Decide the truncated-product equivalence of two integer vectors.
+
+    True iff there exist eps in {+1, -1} and an integer w with
+    prod(1 + u_i x) = (1 + eps*w*x) * prod(1 + eps*(u'_i + w)*x) modulo
+    x^(ell+1).  Comparing degree-1 coefficients forces
+    (k+1)*w = eps*sum(u) - sum(u'), so each sign branch either fails the
+    divisibility or pins w; no search is involved.
+    """
+    k = len(u)
+    if k < 1 or len(u_prime) != k:
+        raise ValueError("vectors must share a positive length")
+    if ell < 1:
+        raise ValueError("truncation order must be at least 1")
+    su = sum(u)
+    sv = sum(u_prime)
+    for eps in (1, -1):
+        numerator = eps * su - sv
+        if numerator % (k + 1) == 0:
+            w = numerator // (k + 1)
+            if trunc_product_identity(u, u_prime, eps, w, ell):
+                return True
+    return False

@@ -15,7 +15,6 @@ from qtoric.classify import (
     enumerate_classes,
     homeomorphic,
     is_nonbott_class,
-    tilde_equiv,
 )
 from qtoric.lattice import is_basis_extendable, lattice_from_generators
 from qtoric.oracle import builtin_witness, ring_iso_search, witness_check
@@ -75,16 +74,26 @@ def test_criterion_02_square_of_segments():
 
 
 def test_criterion_03_parity_rule():
+    # bundles over the square of segments, twisted by a on the a side
     for a in range(-10, 11):
         for a2 in range(-10, 11):
-            assert tilde_equiv((a,), (a2,), 1) == ((a - a2) % 2 == 0)
+            verdict, _ = homeomorphic(
+                CharPair(1, 1, (a,), (0,)), CharPair(1, 1, (a2,), (0,))
+            )
+            assert verdict == ((a - a2) % 2 == 0)
 
 
 def test_criterion_04_singleton_and_congruence_rules():
+    # a singleton twist over the ell-simplex, truncation order ell
     for ell in (2, 3, 4):
+        zero = (0,) * ell
         for a in range(-6, 7):
             for a2 in range(-6, 7):
-                assert tilde_equiv((a,), (a2,), ell) == (abs(a) == abs(a2))
+                verdict, _ = homeomorphic(
+                    CharPair(ell, 1, (a,), zero), CharPair(ell, 1, (a2,), zero)
+                )
+                assert verdict == (abs(a) == abs(a2))
+    # a length-n twist on the b side, truncation order 1
     rng = random.Random(947)
     for _ in range(200):
         n = rng.randint(1, 4)
@@ -92,7 +101,8 @@ def test_criterion_04_singleton_and_congruence_rules():
         b2 = tuple(rng.randint(-3, 3) for _ in range(n))
         sb, sb2 = sum(b), sum(b2)
         expected = (sb - sb2) % (n + 1) == 0 or (sb + sb2) % (n + 1) == 0
-        assert tilde_equiv(b, b2, 1) == expected
+        verdict, _ = homeomorphic(CharPair(n, 1, (0,), b), CharPair(n, 1, (0,), b2))
+        assert verdict == expected
 
 
 def test_criterion_05_fold_equivalence_cross_validated():

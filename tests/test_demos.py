@@ -1,5 +1,7 @@
-"""Each demo script runs to completion against this checkout's ``src/``."""
+"""Each demo script runs to completion against this checkout's ``src/`` and
+prints exactly its recorded output in ``demo_golden.json``."""
 
+import json
 import os
 import subprocess
 import sys
@@ -9,6 +11,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = json.loads((Path(__file__).parent / "demo_golden.json").read_text())
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
@@ -26,4 +29,4 @@ def test_demo_runs(demo):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip()
+    assert result.stdout == "".join(line + "\n" for line in GOLDEN[demo.name])

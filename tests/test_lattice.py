@@ -57,7 +57,8 @@ class TestHermite:
         assert canonical_rows([[2, 4], [1, 3]]) == ((1, 1), (0, 2))
 
     def test_identity_fixed(self):
-        assert canonical_rows(IntMatrix.identity(3).to_rows()) == IntMatrix.identity(3).to_rows()
+        rows = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert canonical_rows(rows) == rows
 
     def test_zero_matrix(self):
         assert canonical_rows([[0, 0], [0, 0]]) == ()
@@ -142,7 +143,7 @@ class TestKernel:
         assert not k.contains((1, 0, 0, 0, 1))
 
     def test_injective_map_has_empty_kernel(self):
-        assert kernel_basis(IntMatrix.identity(4)).basis == ()
+        assert kernel_basis(mat([[int(i == j) for j in range(4)] for i in range(4)])).basis == ()
 
     def test_rank_one_projection(self):
         assert kernel_basis(mat([[1, 1]])).basis == ((1, -1),)

@@ -25,6 +25,10 @@ from qtoric.quasitoric import CharPair, cohomology_presentation, kernel_span_vec
 from pair_reference import filtered_admissible_pairs
 
 
+def _identity(k):
+    return IntMatrix.from_rows([[int(i == j) for j in range(k)] for i in range(k)])
+
+
 def _presentation(n, m, a, b):
     return cohomology_presentation(CharPair(n, m, a, b))
 
@@ -42,7 +46,7 @@ class TestRingIsoSearch:
         p = _presentation(2, 2, (2, 0), (1, 0))
         verdict = ring_iso_search(p, p, bound=2)
         assert verdict.found
-        assert verdict.matrix == IntMatrix.identity(2)
+        assert verdict.matrix == _identity(2)
 
     def test_fold_pair_found(self):
         p = _presentation(2, 2, (2, 0), (1, 0))
@@ -96,11 +100,11 @@ class TestRingIsoSearch:
             assert _candidate_matrices(bound) is first
             assert _candidate_matrices.__wrapped__(bound) == first
         candidates = _candidate_matrices(3)
-        assert candidates[0] == IntMatrix.identity(2)
+        assert candidates[0] == _identity(2)
         assert len(candidates) == len(set(candidates))
 
     def test_json_round_shapes(self):
-        found = IsoVerdict(found=True, matrix=IntMatrix.identity(2))
+        found = IsoVerdict(found=True, matrix=_identity(2))
         assert found.to_json_dict() == {"found": True, "matrix": [[1, 0], [0, 1]]}
         missed = IsoVerdict(found=False, bound=3)
         assert missed.to_json_dict() == {"found": False, "bound": 3}
@@ -151,25 +155,25 @@ class TestMonomialWitness:
     def test_rejects_non_permutation_rows(self):
         with pytest.raises(ValueError):
             MonomialWitness(
-                IntMatrix.from_rows([[1, 1], [0, 1]]), IntMatrix.identity(2)
+                IntMatrix.from_rows([[1, 1], [0, 1]]), _identity(2)
             )
 
     def test_rejects_duplicate_columns(self):
         with pytest.raises(ValueError):
             MonomialWitness(
-                IntMatrix.from_rows([[1, 0], [1, 0]]), IntMatrix.identity(2)
+                IntMatrix.from_rows([[1, 0], [1, 0]]), _identity(2)
             )
 
     def test_rejects_entry_magnitude(self):
         with pytest.raises(ValueError):
             MonomialWitness(
-                IntMatrix.from_rows([[2, 0], [0, 1]]), IntMatrix.identity(2)
+                IntMatrix.from_rows([[2, 0], [0, 1]]), _identity(2)
             )
 
     def test_rejects_singular_reparametrization(self):
         with pytest.raises(ValueError):
             MonomialWitness(
-                IntMatrix.identity(2), IntMatrix.from_rows([[1, 1], [1, 1]])
+                _identity(2), IntMatrix.from_rows([[1, 1], [1, 1]])
             )
 
     def test_conjugation_allowed(self):
@@ -183,13 +187,13 @@ class TestMonomialWitness:
 class TestWitnessCheck:
     def test_identity_witness(self):
         u = weight_matrix(CharPair(2, 1, (1,), (2, 0)))
-        w = MonomialWitness(IntMatrix.identity(5), IntMatrix.identity(2))
+        w = MonomialWitness(_identity(5), _identity(2))
         assert witness_check(u, u, w)
 
     def test_dimension_mismatch(self):
         u = weight_matrix(CharPair(2, 1, (1,), (2, 0)))
         v = weight_matrix(CharPair(3, 1, (1,), (2, 0, 0)))
-        w = MonomialWitness(IntMatrix.identity(5), IntMatrix.identity(2))
+        w = MonomialWitness(_identity(5), _identity(2))
         with pytest.raises(ValueError):
             witness_check(u, v, w)
         with pytest.raises(ValueError):
@@ -198,7 +202,7 @@ class TestWitnessCheck:
     def test_wrong_witness_fails(self):
         u = weight_matrix(CharPair(2, 1, (1,), (2, 0)))
         v = weight_matrix(CharPair(2, 1, (1,), (2, 2)))
-        w = MonomialWitness(IntMatrix.identity(5), IntMatrix.identity(2))
+        w = MonomialWitness(_identity(5), _identity(2))
         assert not witness_check(u, v, w)
 
 

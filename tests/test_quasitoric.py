@@ -18,7 +18,6 @@ from qtoric.quasitoric import (
     cohomology_presentation,
     graded_ranks,
     h_vector,
-    is_generalized_bott,
     kernel_lattice,
     kernel_span_vectors,
     normalize,
@@ -119,20 +118,18 @@ class TestNormalize:
         nf = normalize(cp(3, 1, [-2], [-1, 0, -1]))
         assert (nf.a, nf.b) == ((2,), (1, 1, 0))
         assert nf.orientation == "a2"
-        assert not nf.swap_applied
+        assert (nf.n, nf.m) == (3, 1)
 
     def test_factor_swap(self):
         nf = normalize(cp(1, 2, [0, 2], [1]))
         assert (nf.n, nf.m) == (2, 1)
         assert (nf.a, nf.b) == ((1,), (2, 0))
         assert nf.orientation == "b2"
-        assert nf.swap_applied
 
     def test_bott_branch_keeps_vector(self):
         nf = normalize(cp(2, 2, [0, 0], [3, -1]))
         assert nf.orientation == "bott"
         assert nf.b == (3, -1)
-        assert is_generalized_bott(nf)
 
     def test_bott_sign_choice_is_lexicographic(self):
         assert normalize(cp(2, 2, [0, 0], [-3, 1])).b == (3, -1)
@@ -146,15 +143,7 @@ class TestNormalize:
     @settings(max_examples=120)
     def test_idempotent(self, pair):
         nf = normalize(pair)
-        again = normalize(nf.char_pair)
-        assert (again.n, again.m, again.a, again.b, again.orientation) == (
-            nf.n,
-            nf.m,
-            nf.a,
-            nf.b,
-            nf.orientation,
-        )
-        assert not again.swap_applied
+        assert normalize(nf.char_pair) == nf
 
     @given(valid_pairs, st.randoms(use_true_random=False))
     @settings(max_examples=120)
@@ -165,39 +154,30 @@ class TestNormalize:
         rng.shuffle(a)
         rng.shuffle(b)
         flipped = cp(pair.n, pair.m, [-x for x in a], [-x for x in b])
-        nf2 = normalize(flipped)
-        assert (nf2.n, nf2.m, nf2.a, nf2.b, nf2.orientation) == (
-            nf.n,
-            nf.m,
-            nf.a,
-            nf.b,
-            nf.orientation,
-        )
+        assert normalize(flipped) == nf
 
     @given(valid_pairs)
     @settings(max_examples=120)
     def test_factor_swap_behavior(self, pair):
-        # for n != m both reads normalize identically (one of them swaps);
-        # for n = m the two reads are mirror images, merged later at the
-        # classification layer
+        # for n != m both reads have one normal form; for n = m the two reads
+        # are mirror images, merged later at the classification layer
         nf = normalize(pair)
         nf2 = normalize(pair.swapped())
         if pair.n != pair.m:
-            assert (nf2.n, nf2.m, nf2.a, nf2.b) == (nf.n, nf.m, nf.a, nf.b)
-            assert nf.swap_applied != nf2.swap_applied
+            assert nf2 == nf
         else:
             assert (nf2.a, nf2.b) == (nf.b, nf.a)
 
 
 class TestBottDetection:
     def test_known_non_bott(self):
-        assert not is_generalized_bott(normalize(cp(2, 1, [2], [1, 0])))
+        assert normalize(cp(2, 1, [2], [1, 0])).orientation == "a2"
 
     def test_projective_bundle(self):
-        assert is_generalized_bott(normalize(cp(3, 2, [5, -1], [0, 0, 0])))
+        assert normalize(cp(3, 2, [5, -1], [0, 0, 0])).orientation == "bott"
 
     def test_product_of_projective_spaces(self):
-        assert is_generalized_bott(normalize(cp(2, 2, [0, 0], [0, 0])))
+        assert normalize(cp(2, 2, [0, 0], [0, 0])).orientation == "bott"
 
 
 class TestPresentation:
