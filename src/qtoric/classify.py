@@ -22,9 +22,9 @@ The decision layer sits on three mechanisms:
 
 Class labels carry one complete key: ``HomeoClass.key`` is equal for two
 labels exactly when the manifolds are homeomorphic (Bott labels are keyed by
-the ``tilde_canonical`` series of their twisting vector), computed at most
-once per label, and labels compare and hash by it.  ``same_class`` is key
-equality plus the name of the rule that decides it.
+the ``tilde_canonical`` series of their twisting vector), and labels compare
+and hash by it.  ``same_class`` is key equality plus the name of the rule
+that decides it.
 
 A label depends on the normal form alone: ``canonical_class`` is
 ``normalize`` followed by ``_label``.  So ``enumerate_classes`` labels the
@@ -128,26 +128,16 @@ class HomeoClass:
     vec: Optional[Tuple[int, ...]] = None
     representative: Optional[CharPair] = None
 
-    # the key once computed; unannotated, so it is not a dataclass field
-    _key = None
-
     @property
     def key(self) -> Tuple:
         """The complete invariant: equal exactly when the classes are
-        homeomorphic.  Computed on first use and kept.
+        homeomorphic.
 
         Non-Bott labels are exact, so their fields form the key.  A Bott
         label is keyed by the ``tilde_canonical`` series of its twisting
         vector on its side; vectors equivalent to zero, whose series is 1,
         all take the product key, which both sides share.
         """
-        # functools.cached_property would do, but on Python 3.11 its first
-        # access costs about 10% of enumerate_classes
-        if self._key is None:
-            object.__setattr__(self, "_key", self._compute_key())
-        return self._key
-
-    def _compute_key(self) -> Tuple:
         base = (self.n, self.m)
         if self.family == "nonbott":
             return base + ("nb", self.s, self.r, self.orientation)

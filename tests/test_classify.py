@@ -5,7 +5,6 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtoric import classify
 from qtoric.classify import (
     HomeoClass,
     canonical_class,
@@ -430,41 +429,6 @@ class TestEnumerate:
             enumerate_classes(1, 2, 2)
         with pytest.raises(ValueError):
             enumerate_classes(2, 2, -1)
-
-
-class TestKeyOnce:
-    """A label computes its key at most once, however often it is compared
-    or hashed."""
-
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        seen = []
-        real = classify.tilde_canonical
-
-        def counted(u, ell):
-            seen.append((u, ell))
-            return real(u, ell)
-
-        monkeypatch.setattr(classify, "tilde_canonical", counted)
-        return seen
-
-    def test_enumerated_labels_reuse_their_keys(self, calls):
-        labels = enumerate_classes(5, 5, 3)
-        calls.clear()
-        every, half = set(labels), set(labels[::2])
-        assert every & half == half
-        assert every | half == every
-        assert len(every - half) == len(labels) - len(half)
-        assert calls == []
-
-    def test_fresh_bott_label_computes_its_key_once(self, calls):
-        bott = canonical_class(CharPair(3, 1, (5,), (0, 0, 0)))
-        other = canonical_class(CharPair(3, 1, (2,), (1, 0, 0)))
-        for _ in range(3):
-            assert bott == bott and bott != other
-            assert len({bott, other}) == 2
-            assert same_class(bott, other) == (False, "bott-vs-nonbott-ring")
-        assert calls == [((5,), 3)]
 
 
 def _pairwise_classes(n, m, bound):
