@@ -27,15 +27,17 @@ and hash by it.  ``same_class`` is key equality plus the name of the rule
 that decides it.
 
 A label depends on the normal form alone: ``canonical_class`` is
-``normalize`` followed by ``_label``.  So ``enumerate_classes`` labels the
-normal forms that ``quasitoric.admissible_normal_forms`` lists directly,
-without building, checking or normalizing a pair, and groups the labels by
-key.
+``normalize`` followed by ``_label``.  ``normalize`` settles facet
+relabeling, the global sign and the factor swap, square base included, so
+``_label`` reads each normal form as it stands and handles no mirrors.  So
+``enumerate_classes`` labels the normal forms that
+``quasitoric.admissible_normal_forms`` lists directly, without building,
+checking or normalizing a pair, and groups the labels by key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .polyring import _trunc_linear_product
@@ -108,6 +110,7 @@ class HomeoClass:
       product        trivial bundle, both vectors equivalent to zero
       bott-base-n    projective bundle with the twisting vector on the a side
       bott-base-m    projective bundle with the twisting vector on the b side
+                     (n != m only: over a square base it sits on the a side)
       nonbott        normalized (s, r) class, both dimensions at least 2
       connsum-plus   connected sum of two standard projective spaces
       connsum-minus  connected sum with reversed orientation on one summand
@@ -126,7 +129,7 @@ class HomeoClass:
     r: Optional[int] = None
     orientation: Optional[str] = None
     vec: Optional[Tuple[int, ...]] = None
-    representative: Optional[CharPair] = None
+    representative: CharPair = field(kw_only=True)
 
     @property
     def key(self) -> Tuple:
@@ -170,7 +173,7 @@ class HomeoClass:
             self.r if self.r is not None else -1,
             self.orientation or "",
             self.vec if self.vec is not None else (),
-            self.representative.sort_key() if self.representative else (),
+            self.representative.sort_key(),
         )
 
     def params_dict(self) -> Dict[str, object]:
@@ -188,9 +191,7 @@ class HomeoClass:
             "n": self.n,
             "m": self.m,
             "params": self.params_dict(),
-            "representative": self.representative.to_json_dict()
-            if self.representative
-            else None,
+            "representative": self.representative.to_json_dict(),
         }
 
 
@@ -200,14 +201,12 @@ def is_nonbott_class(c: HomeoClass) -> bool:
 
 def _bott_side(c: HomeoClass) -> Optional[str]:
     """The side a Bott label's twisting vector sits on: "m" for a b-side
-    bundle over distinct dimensions, None for the product (either side), "n"
-    otherwise (over a square base the mirror is the same manifold, and
-    ``connsum-minus`` is the a = (1) bundle)."""
+    bundle (which ``_label`` makes only for n != m), None for the product
+    (either side), "n" otherwise (``connsum-minus`` is the a = (1)
+    bundle)."""
     if c.family == "product":
         return None
-    if c.family == "bott-base-m" and c.n != c.m:
-        return "m"
-    return "n"
+    return "m" if c.family == "bott-base-m" else "n"
 
 
 def same_class(c1: HomeoClass, c2: HomeoClass) -> Tuple[bool, str]:
@@ -261,22 +260,15 @@ def _label(nf: NormalForm) -> HomeoClass:
     nothing but the normal form."""
     n, m = nf.n, nf.m
     if nf.orientation == "bott":
-        a_nonzero = any(nf.a)
-        b_nonzero = any(nf.b)
-        if not a_nonzero and not b_nonzero:
-            return HomeoClass("product", n, m, representative=nf.char_pair)
-        if b_nonzero and n == m:
-            # square base: put the twisting vector on the a side
-            vec = nf.b
-            rep = CharPair(n, m, vec, (0,) * n)
-            return HomeoClass("bott-base-n", n, m, vec=vec, representative=rep)
-        if a_nonzero:
+        if any(nf.a):
             return HomeoClass(
                 "bott-base-n", n, m, vec=nf.a, representative=nf.char_pair
             )
-        return HomeoClass(
-            "bott-base-m", n, m, vec=nf.b, representative=nf.char_pair
-        )
+        if any(nf.b):
+            return HomeoClass(
+                "bott-base-m", n, m, vec=nf.b, representative=nf.char_pair
+            )
+        return HomeoClass("product", n, m, representative=nf.char_pair)
     if m == 1:
         if n == 1:
             # over the square the two odd families meet in the single
@@ -310,27 +302,16 @@ def _label(nf: NormalForm) -> HomeoClass:
         rep = CharPair(n, 1, (2,), (1,) + (0,) * (n - 1))
         return HomeoClass("special-m21", n, 1, representative=rep)
     # both dimensions at least 2
-    orientation = nf.orientation
-    a, b = nf.a, nf.b
-    if n == m and orientation == "b2":
-        a, b = b, a
-        orientation = "a2"
-    if orientation == "a2":
-        s = a.count(2)
-        r = b.count(1)
-        s_slots, r_slots = m, n
-    else:
-        s = b.count(2)
-        r = a.count(1)
-        s_slots, r_slots = n, m
-    s = _fold(s, s_slots)
-    r = _fold(r, r_slots)
-    if orientation == "a2":
+    if nf.orientation == "a2":
+        s = _fold(nf.a.count(2), m)
+        r = _fold(nf.b.count(1), n)
         rep = CharPair(n, m, (2,) * s + (0,) * (m - s), (1,) * r + (0,) * (n - r))
     else:
+        s = _fold(nf.b.count(2), n)
+        r = _fold(nf.a.count(1), m)
         rep = CharPair(n, m, (1,) * r + (0,) * (m - r), (2,) * s + (0,) * (n - s))
     return HomeoClass(
-        "nonbott", n, m, s=s, r=r, orientation=orientation, representative=rep
+        "nonbott", n, m, s=s, r=r, orientation=nf.orientation, representative=rep
     )
 
 

@@ -60,14 +60,15 @@ EXIT_INCONSISTENT = 4
 
 # The largest size each command accepts, by quantity; "n + m" and "entry
 # digits" (decimal digits of the largest |entry|) are read from the input
-# pairs, the flags from the command line.  Each cap keeps its command's
-# worst case within about a second: the brute-force validity check is
-# O(nm (n+m)^3), graded ranks and ring lattices and a Bott label's key
-# (a series with nm products) all grow their coefficients with n + m times
-# the entry digits, enumeration visits about C(2 bound + n, n) vectors, and
-# the isomorphism search loops (2 bound + 1)^4 times to list its
-# candidates.  The count is closed form; its cap keeps the printed count
-# within the interpreter's digit limit for integers.
+# pairs, the flags from the command line, which ``main`` checks before it
+# calls the command.  Each cap keeps its command's worst case within about
+# a second: the brute-force validity check is O(nm (n+m)^3), graded ranks
+# and ring lattices and a Bott label's key (a series with nm products) all
+# grow their coefficients with n + m times the entry digits, enumeration
+# visits about C(2 bound + n, n) vectors, and the isomorphism search loops
+# (2 bound + 1)^4 times to list its candidates.  The count is closed form;
+# its cap keeps the printed count within the interpreter's digit limit for
+# integers.
 SIZE_LIMITS = {
     "validate": {"n + m": 32},
     "classify": {"n + m": 128, "entry digits": 100},
@@ -177,8 +178,8 @@ def _class_tsv_row(c) -> List[object]:
         c.r,
         c.orientation,
         _join(c.vec) if c.vec is not None else None,
-        _join(rep.a) if rep else None,
-        _join(rep.b) if rep else None,
+        _join(rep.a),
+        _join(rep.b),
     ]
 
 
@@ -230,8 +231,6 @@ def cmd_compare(args) -> _Outcome:
 
 
 def cmd_enumerate(args) -> _Outcome:
-    _check_size(args, "--n", args.n)
-    _check_size(args, "--bound", args.bound)
     try:
         classes = enumerate_classes(args.n, args.m, args.bound)
     except ValueError as exc:
@@ -247,7 +246,6 @@ def cmd_enumerate(args) -> _Outcome:
 
 
 def cmd_count(args) -> _Outcome:
-    _check_size(args, "--n", args.n)
     try:
         value = count_nonbott(args.n, args.m)
     except ValueError as exc:
@@ -291,7 +289,6 @@ def cmd_kernel(args) -> _Outcome:
 def cmd_oracle_iso(args) -> _Outcome:
     if args.bound < 0:
         raise UsageError("--bound must be nonnegative")
-    _check_size(args, "--bound", args.bound)
     cp1, cp2 = _read_valid_pairs(args, args.inputs, 2)
     p1, p2 = cohomology_presentation(cp1), cohomology_presentation(cp2)
     try:
@@ -317,8 +314,6 @@ def cmd_oracle_iso(args) -> _Outcome:
 
 
 def cmd_witness_check(args) -> _Outcome:
-    _check_size(args, "--n", args.n)
-    _check_size(args, "--m", args.m)
     missing = [p for p in WITNESS_PARAMS[args.family] if getattr(args, p) is None]
     if missing:
         raise UsageError(
@@ -444,6 +439,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for quantity in SIZE_LIMITS[args.command]:
+            if quantity.startswith("--"):
+                _check_size(args, quantity, getattr(args, quantity[2:]))
         report, rows, disagreement = args.func(args)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)

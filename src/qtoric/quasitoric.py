@@ -109,8 +109,10 @@ class NormalForm:
     Guarantees n >= m, entries sign-normalized, nonzero entries first within
     each vector (descending), and records which side carries the value-2
     entries.  ``orientation`` is "bott" when a or b vanishes (a two-stage
-    generalized Bott tower), otherwise "a2" or "b2".  For n != m a pair and
-    its factor swap have the same normal form.
+    generalized Bott tower), otherwise "a2" or "b2".  Over a square base
+    (n = m) the twisting vector of a Bott pair sits in ``a`` and the value-2
+    entries of a non-Bott pair sit in ``a``, so the orientation is never
+    "b2" there.  A pair and its factor swap have the same normal form.
     """
 
     n: int
@@ -225,20 +227,25 @@ def normalize(cp: CharPair) -> NormalForm:
     """Canonical form under facet relabeling, global sign flip, and factor
     swap.
 
-    The nonzero entries of a valid pair with both vectors nonzero all share
-    one sign (each nonzero product equals 2), so the global flip is forced
-    there; a vector facing a zero partner has no forced sign and the
-    lexicographically larger of the two sign choices is kept.
+    The swap is decided first: the larger simplex comes first, and over a
+    square base the side carrying the twist (Bott pairs) or the value-2
+    entries (non-Bott pairs) becomes ``a``.  Then the sign is fixed and the
+    entries sorted.  The nonzero entries of a valid pair with both vectors
+    nonzero all share one sign (each nonzero product equals 2), so the
+    global flip is forced there; a vector facing a zero partner has no
+    forced sign and the lexicographically larger of the two sign choices is
+    kept.
 
     Raises:
         ValueError: when the pair is not valid.
     """
     if not validate(cp):
         raise ValueError("characteristic pair fails the validity condition")
-    a, b = cp.a, cp.b
+    n, m, a, b = cp.n, cp.m, cp.a, cp.b
+    if n < m or (n == m and (not any(a) or 2 in map(abs, b))):
+        n, m, a, b = m, n, b, a
     nza = [x for x in a if x]
-    nzb = [x for x in b if x]
-    if nza and nzb:
+    if nza and any(b):
         if nza[0] < 0:  # all nonzero entries share this sign
             a = tuple(-x for x in a)
             b = tuple(-x for x in b)
@@ -249,12 +256,6 @@ def normalize(cp: CharPair) -> NormalForm:
         a = _canonical_sign(a)
         b = _canonical_sign(b)
         orientation = "bott"
-    n, m = cp.n, cp.m
-    if n < m:
-        n, m = m, n
-        a, b = b, a
-        if orientation != "bott":
-            orientation = "b2" if orientation == "a2" else "a2"
     return NormalForm(n, m, a, b, orientation)
 
 
@@ -340,7 +341,8 @@ def admissible_normal_forms(n: int, m: int, bound: int) -> Iterable[NormalForm]:
     shapes: the zero pair; one vector zero and the other a nonzero multiset
     at its chosen sign; or the runs alpha^q 0^(m-q) and beta^p 0^(n-p) with
     (alpha, beta) in {(1, 2), (2, 1)}, which ``normalize`` reaches by the
-    forced global flip.
+    forced global flip.  Over a square base the nonzero vector of a Bott
+    form and the value-2 run sit in ``a``, so the b-side shapes are absent.
 
     Raises:
         ValueError: when n < m, m < 1 or bound < 0 (on first iteration).
@@ -353,11 +355,13 @@ def admissible_normal_forms(n: int, m: int, bound: int) -> Iterable[NormalForm]:
     yield NormalForm(n, m, zero_a, zero_b, "bott")
     for a in _bott_vectors(m, bound):
         yield NormalForm(n, m, a, zero_b, "bott")
-    for b in _bott_vectors(n, bound):
-        yield NormalForm(n, m, zero_a, b, "bott")
+    if n > m:
+        for b in _bott_vectors(n, bound):
+            yield NormalForm(n, m, zero_a, b, "bott")
     if bound < 2:
         return
-    for alpha, beta, orientation in ((2, 1, "a2"), (1, 2, "b2")):
+    runs = ((2, 1, "a2"), (1, 2, "b2")) if n > m else ((2, 1, "a2"),)
+    for alpha, beta, orientation in runs:
         for q in range(1, m + 1):
             a = (alpha,) * q + (0,) * (m - q)
             for p in range(1, n + 1):

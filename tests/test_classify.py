@@ -1,6 +1,8 @@
 """Tests for the homeomorphism classification layer."""
 
+import hashlib
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -410,6 +412,21 @@ class TestEnumerate:
             got = [c.to_json_dict() for c in enumerate_classes(n, m, bound)]
             expected = [c.to_json_dict() for c in _pairwise_classes(n, m, bound)]
             assert got == expected, (n, m, bound)
+
+    def test_enumeration_bytes_pinned(self):
+        # the pairwise reference above labels through canonical_class too,
+        # so it cannot see a label that changes on both sides; this digest
+        # of the listing's JSON can
+        doc = [
+            [c.to_json_dict() for c in enumerate_classes(n, m, bound)]
+            for n in range(1, 6)
+            for m in range(1, n + 1)
+            for bound in range(4)
+        ]
+        digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        assert digest == (
+            "a7e075705426db01e02b79c0ab0418b8d9bae0b8ca7fcba698e160fb7976bc99"
+        )
 
     def test_class_key_is_exact(self):
         labels = {}

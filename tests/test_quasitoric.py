@@ -127,12 +127,13 @@ class TestNormalize:
         assert nf.orientation == "b2"
 
     def test_bott_branch_keeps_vector(self):
+        # over a square base the twisting vector moves to the a side
         nf = normalize(cp(2, 2, [0, 0], [3, -1]))
         assert nf.orientation == "bott"
-        assert nf.b == (3, -1)
+        assert (nf.a, nf.b) == ((3, -1), (0, 0))
 
     def test_bott_sign_choice_is_lexicographic(self):
-        assert normalize(cp(2, 2, [0, 0], [-3, 1])).b == (3, -1)
+        assert normalize(cp(2, 2, [0, 0], [-3, 1])).a == (3, -1)
         assert normalize(cp(2, 1, [0], [0, -2])).b == (2, 0)
 
     def test_invalid_input_rejected(self):
@@ -159,14 +160,9 @@ class TestNormalize:
     @given(valid_pairs)
     @settings(max_examples=120)
     def test_factor_swap_behavior(self, pair):
-        # for n != m both reads have one normal form; for n = m the two reads
-        # are mirror images, merged later at the classification layer
-        nf = normalize(pair)
-        nf2 = normalize(pair.swapped())
-        if pair.n != pair.m:
-            assert nf2 == nf
-        else:
-            assert (nf2.a, nf2.b) == (nf.b, nf.a)
+        # both reads have one normal form; over a square base the side with
+        # the twist or the value-2 entries goes first
+        assert normalize(pair.swapped()) == normalize(pair)
 
 
 class TestBottDetection:
@@ -340,6 +336,10 @@ class TestAdmissiblePairs:
             expected = {normalize(cp) for cp in filtered_admissible_pairs(n, m, bound)}
             assert set(got) == expected, (n, m, bound)
             assert len(set(got)) == len(got)
+            if n == m:
+                # a square base carries the twist in a
+                assert all(any(nf.a) or not any(nf.b) for nf in got)
+                assert all(nf.orientation != "b2" for nf in got)
 
     def test_argument_validation(self):
         for args in ((1, 2, 2), (2, 0, 2), (2, 2, -1)):
