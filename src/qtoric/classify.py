@@ -27,27 +27,22 @@ and hash by it.  ``same_class`` is key equality plus the name of the rule
 that decides it.
 
 A label depends on the normal form alone: ``canonical_class`` is
-``normalize`` followed by ``_label``.  ``normalize`` settles facet
-relabeling, the global sign and the factor swap, square base included, so
-``_label`` reads each normal form as it stands and handles no mirrors.  So
-``enumerate_classes`` labels the normal forms that
-``quasitoric.admissible_normal_forms`` lists directly, without building,
-checking or normalizing a pair, and groups the labels by key.
+``normalize`` followed by ``_label``.  A normal form is itself a
+``CharPair``: ``normalize`` settles facet relabeling, the global sign and
+the factor swap, square base included, and the pair's ``orientation`` names
+the side of its value-2 entries, so ``_label`` reads each normal form as it
+stands and handles no mirrors.  So ``enumerate_classes`` labels the normal
+forms that ``quasitoric.admissible_normal_forms`` lists directly, without
+checking or normalizing them again, and groups the labels by key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .polyring import _trunc_linear_product
-from .quasitoric import (
-    CharPair,
-    NormalForm,
-    admissible_normal_forms,
-    normalize,
-    validate,
-)
+from .quasitoric import CharPair, admissible_normal_forms, normalize
 
 __all__ = [
     "HomeoClass",
@@ -118,18 +113,25 @@ class HomeoClass:
                      label and bridged through equality)
       special-m21    the odd-n class of a=(2), b=(1, 0, ..., 0)
 
-    Labels are equal exactly when the classes are homeomorphic: they compare
-    and hash by ``key``, which is coarser than the field tuple.
+    ``n`` and ``m`` are the representative's.  Labels are equal exactly
+    when the classes are homeomorphic: they compare and hash by ``key``,
+    which is coarser than the field tuple.
     """
 
     family: str
-    n: int
-    m: int
+    representative: CharPair
     s: Optional[int] = None
     r: Optional[int] = None
     orientation: Optional[str] = None
     vec: Optional[Tuple[int, ...]] = None
-    representative: CharPair = field(kw_only=True)
+
+    @property
+    def n(self) -> int:
+        return self.representative.n
+
+    @property
+    def m(self) -> int:
+        return self.representative.m
 
     @property
     def key(self) -> Tuple:
@@ -255,64 +257,46 @@ def canonical_class(cp: CharPair) -> HomeoClass:
     return _label(normalize(cp))
 
 
-def _label(nf: NormalForm) -> HomeoClass:
-    """The homeomorphism-class label of a normal form; the label reads
-    nothing but the normal form."""
-    n, m = nf.n, nf.m
-    if nf.orientation == "bott":
-        if any(nf.a):
-            return HomeoClass(
-                "bott-base-n", n, m, vec=nf.a, representative=nf.char_pair
-            )
-        if any(nf.b):
-            return HomeoClass(
-                "bott-base-m", n, m, vec=nf.b, representative=nf.char_pair
-            )
-        return HomeoClass("product", n, m, representative=nf.char_pair)
+def _label(cp: CharPair) -> HomeoClass:
+    """The homeomorphism-class label of a normal form, the pair that
+    ``normalize`` returns; the label reads nothing but that pair, and a Bott
+    normal form is its own representative."""
+    n, m, orientation = cp.n, cp.m, cp.orientation
+    if orientation == "bott":
+        if any(cp.a):
+            return HomeoClass("bott-base-n", cp, vec=cp.a)
+        if any(cp.b):
+            return HomeoClass("bott-base-m", cp, vec=cp.b)
+        return HomeoClass("product", cp)
     if m == 1:
         if n == 1:
             # over the square the two odd families meet in the single
             # connected-sum class
-            return HomeoClass(
-                "connsum-plus", 1, 1, representative=CharPair(1, 1, (2,), (1,))
-            )
+            return HomeoClass("connsum-plus", CharPair(1, 1, (2,), (1,)))
         # non-Bott with m = 1: the single a-entry is 1 or 2 and only the
         # parity of the nonzero b-entries matters
-        aval = nf.a[0]
-        k = sum(1 for x in nf.b if x)
+        aval = cp.a[0]
+        k = sum(1 for x in cp.b if x)
         if n % 2 == 0 or k % 2 == 0:
             # collapses onto the a-twisted bundle
             if aval == 1:
-                return HomeoClass(
-                    "connsum-minus",
-                    n,
-                    1,
-                    representative=CharPair(n, 1, (1,), (0,) * n),
-                )
-            return HomeoClass(
-                "bott-base-n",
-                n,
-                1,
-                vec=(2,),
-                representative=CharPair(n, 1, (2,), (0,) * n),
-            )
+                return HomeoClass("connsum-minus", CharPair(n, 1, (1,), (0,) * n))
+            return _label(CharPair(n, 1, (2,), (0,) * n))
         if aval == 1:
             rep = CharPair(n, 1, (1,), (2,) + (0,) * (n - 1))
-            return HomeoClass("connsum-plus", n, 1, representative=rep)
+            return HomeoClass("connsum-plus", rep)
         rep = CharPair(n, 1, (2,), (1,) + (0,) * (n - 1))
-        return HomeoClass("special-m21", n, 1, representative=rep)
+        return HomeoClass("special-m21", rep)
     # both dimensions at least 2
-    if nf.orientation == "a2":
-        s = _fold(nf.a.count(2), m)
-        r = _fold(nf.b.count(1), n)
+    if orientation == "a2":
+        s = _fold(cp.a.count(2), m)
+        r = _fold(cp.b.count(1), n)
         rep = CharPair(n, m, (2,) * s + (0,) * (m - s), (1,) * r + (0,) * (n - r))
     else:
-        s = _fold(nf.b.count(2), n)
-        r = _fold(nf.a.count(1), m)
+        s = _fold(cp.b.count(2), n)
+        r = _fold(cp.a.count(1), m)
         rep = CharPair(n, m, (1,) * r + (0,) * (m - r), (2,) * s + (0,) * (n - s))
-    return HomeoClass(
-        "nonbott", n, m, s=s, r=r, orientation=nf.orientation, representative=rep
-    )
+    return HomeoClass("nonbott", rep, s=s, r=r, orientation=orientation)
 
 
 def homeomorphic(cp1: CharPair, cp2: CharPair) -> Tuple[bool, str]:
@@ -324,11 +308,10 @@ def homeomorphic(cp1: CharPair, cp2: CharPair) -> Tuple[bool, str]:
     Raises:
         ValueError: when either pair is not valid.
     """
-    if not validate(cp1) or not validate(cp2):
-        raise ValueError("characteristic pair fails the validity condition")
+    c1, c2 = canonical_class(cp1), canonical_class(cp2)
     if cp1 == cp2:
         return True, "reflexive"
-    return same_class(canonical_class(cp1), canonical_class(cp2))
+    return same_class(c1, c2)
 
 
 def enumerate_classes(n: int, m: int, bound: int) -> List[HomeoClass]:
@@ -348,8 +331,8 @@ def enumerate_classes(n: int, m: int, bound: int) -> List[HomeoClass]:
         ValueError: when n < m, m < 1 or bound < 0.
     """
     best: Dict[Tuple, HomeoClass] = {}
-    for nf in admissible_normal_forms(n, m, bound):
-        c = _label(nf)
+    for cp in admissible_normal_forms(n, m, bound):
+        c = _label(cp)
         key = c.key
         kept = best.get(key)
         if kept is None or c.sort_key() < kept.sort_key():

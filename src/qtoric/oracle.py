@@ -62,13 +62,17 @@ WITNESS_FAMILIES = tuple(WITNESS_PARAMS)
 class IsoVerdict:
     """Outcome of the bounded isomorphism search.
 
-    Either a witness matrix was found, or no candidate within the entry
-    bound worked.  The negative case is explicitly bound-qualified.
+    Either ``matrix`` holds the witness found, or it is None and no
+    candidate within ``bound`` worked: the negative case is explicitly
+    bound-qualified.
     """
 
-    found: bool
     matrix: Optional[IntMatrix] = None
     bound: Optional[int] = None
+
+    @property
+    def found(self) -> bool:
+        return self.matrix is not None
 
     def to_json_dict(self) -> Dict[str, object]:
         if self.found:
@@ -177,8 +181,8 @@ def ring_iso_search(p: Presentation, q: Presentation, bound: int = 3) -> IsoVerd
             # and the target must lie in the image ideal
             pieces = {d: ideal_degree_lattice(image, d) for d in target}
             if all(pieces[t.degree].contains(t.coeffs) for t in q.gens):
-                return IsoVerdict(found=True, matrix=g)
-    return IsoVerdict(found=False, bound=bound)
+                return IsoVerdict(matrix=g)
+    return IsoVerdict(bound=bound)
 
 
 def weight_matrix(cp: CharPair) -> IntMatrix:

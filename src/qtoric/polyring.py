@@ -9,7 +9,7 @@ would otherwise be easy to transpose.
 
 The multiplication kernels work on plain coefficient lists; each public
 function builds its :class:`HomogPoly` once, from the finished list, through
-the raw constructor: the list's length matches the degree by construction.
+the raw constructor: the degree is read off the list's length.
 
 Truncated products of linear factors prod(1 + c_i x) are expanded in
 Z[x]/x^(ell+1) as tuples of exactly ell+1 coefficients, index i holding the
@@ -36,23 +36,26 @@ __all__ = [
 class HomogPoly:
     """Homogeneous polynomial in Z[x1, x2].
 
-    The zero polynomial is representable at any degree (all-zero coefficient
-    vector); the degree tag is part of the value so that degree-piece
-    bookkeeping stays total.
+    The coefficient vector alone is the value, and its length fixes the
+    degree: the zero polynomial is representable at any degree (all-zero
+    coefficient vector), so degree-piece bookkeeping stays total.
 
     :meth:`from_coeffs` is the checked constructor; the raw constructor does
-    not check that ``coeffs`` has length ``degree + 1``.
+    not check that ``coeffs`` is a nonempty tuple of integers.
     """
 
-    degree: int
     coeffs: Tuple[int, ...]
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
 
     @classmethod
     def from_coeffs(cls, coeffs: Sequence[int]) -> "HomogPoly":
         c = tuple(int(x) for x in coeffs)
         if not c:
             raise ValueError("degree must be nonnegative")
-        return cls(len(c) - 1, c)
+        return cls(c)
 
 
 def _convolve(p: Sequence[int], q: Sequence[int]) -> List[int]:
@@ -80,7 +83,7 @@ def linear_product(lead: Tuple[int, int], factors: Sequence[Tuple[int, int]]) ->
     acc = [int(lead[0]), int(lead[1])]
     for c, d in factors:
         acc = _convolve(acc, (int(c), int(d)))
-    return HomogPoly(len(acc) - 1, tuple(acc))
+    return HomogPoly(tuple(acc))
 
 
 def substitute_linear(p: HomogPoly, g: IntMatrix) -> HomogPoly:
@@ -105,7 +108,7 @@ def substitute_linear(p: HomogPoly, g: IntMatrix) -> HomogPoly:
             continue
         for k, c in enumerate(_convolve(pow1[d - i], pow2[i])):
             out[k] += a * c
-    return HomogPoly(d, tuple(out))
+    return HomogPoly(tuple(out))
 
 
 def _trunc_linear_product(factors: Iterable[int], ell: int) -> Tuple[int, ...]:

@@ -35,7 +35,6 @@ from .polyring import HomogPoly, ideal_degree_lattice, linear_product
 
 __all__ = [
     "CharPair",
-    "NormalForm",
     "Presentation",
     "GradedRanks",
     "validate",
@@ -101,46 +100,39 @@ class CharPair:
     def sort_key(self) -> Tuple:
         return (self.n, self.m, self.a, self.b)
 
-
-@dataclass(frozen=True)
-class NormalForm:
-    """Canonicalized characteristic data.
-
-    Guarantees n >= m, entries sign-normalized, nonzero entries first within
-    each vector (descending), and records which side carries the value-2
-    entries.  ``orientation`` is "bott" when a or b vanishes (a two-stage
-    generalized Bott tower), otherwise "a2" or "b2".  Over a square base
-    (n = m) the twisting vector of a Bott pair sits in ``a`` and the value-2
-    entries of a non-Bott pair sit in ``a``, so the orientation is never
-    "b2" there.  A pair and its factor swap have the same normal form.
-    """
-
-    n: int
-    m: int
-    a: Tuple[int, ...]
-    b: Tuple[int, ...]
-    orientation: str
-
     @property
-    def char_pair(self) -> CharPair:
-        return CharPair(self.n, self.m, self.a, self.b)
+    def orientation(self) -> str:
+        """Which side carries the value-2 entries: "bott" when a or b
+        vanishes (a two-stage generalized Bott tower), otherwise "a2" if
+        some |a_j| = 2, else "b2".
+
+        Well defined for every valid pair: each nonzero product a_j * b_i
+        equals 2, so when both vectors are nonzero one side holds only
+        entries of absolute value 1 and the other the value-2 entries.  The
+        factor swap exchanges "a2" and "b2"; a normal form over a square
+        base is never "b2".
+        """
+        if not any(self.a) or not any(self.b):
+            return "bott"
+        return "a2" if 2 in map(abs, self.a) else "b2"
 
 
 @dataclass(frozen=True)
 class Presentation:
-    """The graded ring Z[x1, x2] / <gen1, gen2> with deg gen1 = n+1 and
-    deg gen2 = m+1."""
+    """The graded ring Z[x1, x2] / <gen1, gen2> over the product of an
+    n-simplex and an m-simplex, read off the generator degrees:
+    deg gen1 = n+1 and deg gen2 = m+1."""
 
-    n: int
-    m: int
     gen1: HomogPoly
     gen2: HomogPoly
 
-    def __post_init__(self) -> None:
-        if self.gen1.degree != self.n + 1:
-            raise ValueError("gen1 must have degree n+1")
-        if self.gen2.degree != self.m + 1:
-            raise ValueError("gen2 must have degree m+1")
+    @property
+    def n(self) -> int:
+        return self.gen1.degree - 1
+
+    @property
+    def m(self) -> int:
+        return self.gen2.degree - 1
 
     @property
     def gens(self) -> Tuple[HomogPoly, HomogPoly]:
@@ -223,14 +215,17 @@ def _canonical_sign(v: Tuple[int, ...]) -> Tuple[int, ...]:
     return max(plus, minus)
 
 
-def normalize(cp: CharPair) -> NormalForm:
+def normalize(cp: CharPair) -> CharPair:
     """Canonical form under facet relabeling, global sign flip, and factor
-    swap.
+    swap, as a pair: a pair and its factor swap have the same normal form.
 
-    The swap is decided first: the larger simplex comes first, and over a
-    square base the side carrying the twist (Bott pairs) or the value-2
-    entries (non-Bott pairs) becomes ``a``.  Then the sign is fixed and the
-    entries sorted.  The nonzero entries of a valid pair with both vectors
+    The normal form has n >= m, sign-normalized entries, and in each vector
+    the nonzero entries first, each group descending.  The swap is decided
+    first: the larger simplex comes first, and over a square base the side
+    carrying the twist (Bott pairs) or the value-2 entries (non-Bott pairs)
+    becomes ``a``, so a square normal form is never "b2" (see
+    ``CharPair.orientation``).  Then the sign is fixed and the entries
+    sorted.  The nonzero entries of a valid pair with both vectors
     nonzero all share one sign (each nonzero product equals 2), so the
     global flip is forced there; a vector facing a zero partner has no
     forced sign and the lexicographically larger of the two sign choices is
@@ -249,14 +244,8 @@ def normalize(cp: CharPair) -> NormalForm:
         if nza[0] < 0:  # all nonzero entries share this sign
             a = tuple(-x for x in a)
             b = tuple(-x for x in b)
-        a = _canonical_sort(a)
-        b = _canonical_sort(b)
-        orientation = "a2" if 2 in a else "b2"
-    else:
-        a = _canonical_sign(a)
-        b = _canonical_sign(b)
-        orientation = "bott"
-    return NormalForm(n, m, a, b, orientation)
+        return CharPair(n, m, _canonical_sort(a), _canonical_sort(b))
+    return CharPair(n, m, _canonical_sign(a), _canonical_sign(b))
 
 
 def cohomology_presentation(cp: CharPair) -> Presentation:
@@ -270,7 +259,7 @@ def cohomology_presentation(cp: CharPair) -> Presentation:
         raise ValueError("characteristic pair fails the validity condition")
     gen1 = linear_product((1, 0), [(1, bi) for bi in cp.b])
     gen2 = linear_product((0, 1), [(aj, 1) for aj in cp.a])
-    return Presentation(cp.n, cp.m, gen1, gen2)
+    return Presentation(gen1, gen2)
 
 
 def h_vector(n: int, m: int) -> Tuple[int, ...]:
@@ -333,9 +322,10 @@ def _bott_vectors(length: int, bound: int) -> Iterable[Tuple[int, ...]]:
             yield v
 
 
-def admissible_normal_forms(n: int, m: int, bound: int) -> Iterable[NormalForm]:
+def admissible_normal_forms(n: int, m: int, bound: int) -> Iterable[CharPair]:
     """The normal form of every valid pair with entries in [-bound, bound],
-    each exactly once.  Needs n >= m, the order every normal form has.
+    each exactly once, as the pair ``normalize`` returns.  Needs n >= m, the
+    order every normal form has.
 
     Since every a_j * b_i lies in {0, 2}, a normal form has one of three
     shapes: the zero pair; one vector zero and the other a nonzero multiset
@@ -352,18 +342,18 @@ def admissible_normal_forms(n: int, m: int, bound: int) -> Iterable[NormalForm]:
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     zero_a, zero_b = (0,) * m, (0,) * n
-    yield NormalForm(n, m, zero_a, zero_b, "bott")
+    yield CharPair(n, m, zero_a, zero_b)
     for a in _bott_vectors(m, bound):
-        yield NormalForm(n, m, a, zero_b, "bott")
+        yield CharPair(n, m, a, zero_b)
     if n > m:
         for b in _bott_vectors(n, bound):
-            yield NormalForm(n, m, zero_a, b, "bott")
+            yield CharPair(n, m, zero_a, b)
     if bound < 2:
         return
-    runs = ((2, 1, "a2"), (1, 2, "b2")) if n > m else ((2, 1, "a2"),)
-    for alpha, beta, orientation in runs:
+    runs = ((2, 1), (1, 2)) if n > m else ((2, 1),)
+    for alpha, beta in runs:
         for q in range(1, m + 1):
             a = (alpha,) * q + (0,) * (m - q)
             for p in range(1, n + 1):
                 b = (beta,) * p + (0,) * (n - p)
-                yield NormalForm(n, m, a, b, orientation)
+                yield CharPair(n, m, a, b)

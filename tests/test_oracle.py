@@ -92,7 +92,7 @@ class TestRingIsoSearch:
     def test_bound_zero_finds_nothing(self):
         p = _presentation(1, 1, (0,), (0,))
         verdict = ring_iso_search(p, p, bound=0)
-        assert verdict == IsoVerdict(found=False, bound=0)
+        assert verdict == IsoVerdict(bound=0)
 
     def test_candidate_list_cached_in_fixed_order(self):
         for bound in (0, 1, 3, 5):
@@ -104,9 +104,9 @@ class TestRingIsoSearch:
         assert len(candidates) == len(set(candidates))
 
     def test_json_round_shapes(self):
-        found = IsoVerdict(found=True, matrix=_identity(2))
+        found = IsoVerdict(matrix=_identity(2))
         assert found.to_json_dict() == {"found": True, "matrix": [[1, 0], [0, 1]]}
-        missed = IsoVerdict(found=False, bound=3)
+        missed = IsoVerdict(bound=3)
         assert missed.to_json_dict() == {"found": False, "bound": 3}
 
 

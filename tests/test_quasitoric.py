@@ -11,7 +11,6 @@ from qtoric.lattice import is_basis_extendable, lattice_from_generators
 from qtoric.polyring import HomogPoly, ideal_degree_lattice
 from qtoric.quasitoric import (
     CharPair,
-    NormalForm,
     Presentation,
     admissible_normal_forms,
     characteristic_matrix_grouped,
@@ -64,7 +63,7 @@ random_presentations = st.integers(1, 3).flatmap(
         lambda m: st.tuples(
             st.lists(st.integers(-4, 4), min_size=n + 2, max_size=n + 2),
             st.lists(st.integers(-4, 4), min_size=m + 2, max_size=m + 2),
-        ).map(lambda t: Presentation(n, m, HomogPoly.from_coeffs(t[0]), HomogPoly.from_coeffs(t[1])))
+        ).map(lambda t: Presentation(HomogPoly.from_coeffs(t[0]), HomogPoly.from_coeffs(t[1])))
     )
 )
 
@@ -144,7 +143,7 @@ class TestNormalize:
     @settings(max_examples=120)
     def test_idempotent(self, pair):
         nf = normalize(pair)
-        assert normalize(nf.char_pair) == nf
+        assert normalize(nf) == nf
 
     @given(valid_pairs, st.randoms(use_true_random=False))
     @settings(max_examples=120)
@@ -174,6 +173,19 @@ class TestBottDetection:
 
     def test_product_of_projective_spaces(self):
         assert normalize(cp(2, 2, [0, 0], [0, 0])).orientation == "bott"
+
+    @given(valid_pairs, st.randoms(use_true_random=False))
+    @settings(max_examples=120)
+    def test_orientation_under_symmetries(self, pair, rng):
+        a = list(pair.a)
+        b = list(pair.b)
+        rng.shuffle(a)
+        rng.shuffle(b)
+        flipped = cp(pair.n, pair.m, [-x for x in a], [-x for x in b])
+        assert flipped.orientation == pair.orientation
+        mirror = {"a2": "b2", "b2": "a2", "bott": "bott"}[pair.orientation]
+        assert pair.swapped().orientation == mirror
+        assert normalize(pair).orientation in (pair.orientation, mirror)
 
 
 class TestPresentation:
@@ -229,12 +241,12 @@ class TestGradedRanks:
         "pres,ranks,torsion",
         [
             (
-                Presentation(1, 1, HomogPoly(2, (2, 0, 0)), HomogPoly(2, (0, 0, 1))),
+                Presentation(HomogPoly((2, 0, 0)), HomogPoly((0, 0, 1))),
                 (1, 2, 1),
                 ((), (), (2,)),
             ),
             (
-                Presentation(2, 1, HomogPoly(3, (1, 0, 0, 0)), HomogPoly(2, (0, 3, 3))),
+                Presentation(HomogPoly((1, 0, 0, 0)), HomogPoly((0, 3, 3))),
                 (1, 2, 2, 1),
                 ((), (), (3,), (3, 3)),
             ),
