@@ -38,8 +38,7 @@ checking or normalizing them again, and groups the labels by key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .polyring import _trunc_linear_product
 from .quasitoric import CharPair, admissible_normal_forms, normalize
@@ -97,8 +96,7 @@ def tilde_canonical(u: Tuple[int, ...], ell: int) -> Tuple[int, ...]:
     return min(candidates)
 
 
-@dataclass(frozen=True, eq=False)
-class HomeoClass:
+class HomeoClass(NamedTuple):
     """A homeomorphism-class label.
 
     family is one of:
@@ -115,7 +113,8 @@ class HomeoClass:
 
     ``n`` and ``m`` are the representative's.  Labels are equal exactly
     when the classes are homeomorphic: they compare and hash by ``key``,
-    which is coarser than the field tuple.
+    which is coarser than the field tuple, and a label equals no other
+    type.  Tuple order is field order; ``sort_key`` is the label order.
     """
 
     family: str
@@ -158,10 +157,11 @@ class HomeoClass:
             return base + ("bott-product",)
         return base + ("bott", side, series)
 
-    def __eq__(self, other: object):
-        if not isinstance(other, HomeoClass):
-            return NotImplemented
-        return self.key == other.key
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, HomeoClass) and self.key == other.key
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
 
     def __hash__(self) -> int:
         return hash(self.key)
@@ -175,7 +175,7 @@ class HomeoClass:
             self.r if self.r is not None else -1,
             self.orientation or "",
             self.vec if self.vec is not None else (),
-            self.representative.sort_key(),
+            self.representative,
         )
 
     def params_dict(self) -> Dict[str, object]:
@@ -308,7 +308,13 @@ def homeomorphic(cp1: CharPair, cp2: CharPair) -> Tuple[bool, str]:
     Raises:
         ValueError: when either pair is not valid.
     """
-    c1, c2 = canonical_class(cp1), canonical_class(cp2)
+    return _homeomorphic_labelled(cp1, canonical_class(cp1), cp2, canonical_class(cp2))
+
+
+def _homeomorphic_labelled(
+    cp1: CharPair, c1: HomeoClass, cp2: CharPair, c2: HomeoClass
+) -> Tuple[bool, str]:
+    """``homeomorphic`` for two pairs whose labels are already known."""
     if cp1 == cp2:
         return True, "reflexive"
     return same_class(c1, c2)

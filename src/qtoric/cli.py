@@ -28,6 +28,7 @@ import sys
 from typing import List, Optional, Sequence, Tuple
 
 from .classify import (
+    _homeomorphic_labelled,
     canonical_class,
     count_nonbott,
     enumerate_classes,
@@ -220,12 +221,13 @@ def cmd_classify(args) -> _Outcome:
 
 def cmd_compare(args) -> _Outcome:
     cp1, cp2 = _read_valid_pairs(args, args.inputs, 2)
-    verdict, rule = homeomorphic(cp1, cp2)
+    c1, c2 = canonical_class(cp1), canonical_class(cp2)
+    verdict, rule = _homeomorphic_labelled(cp1, c1, cp2, c2)
     report = {
         "homeomorphic": verdict,
         "rule": rule,
-        "left": canonical_class(cp1).to_json_dict(),
-        "right": canonical_class(cp2).to_json_dict(),
+        "left": c1.to_json_dict(),
+        "right": c2.to_json_dict(),
     }
     return report, [["homeomorphic", "rule"], [verdict, rule]], None
 

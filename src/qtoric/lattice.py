@@ -10,8 +10,8 @@ Conventions
 * Matrices are dense and row-major (:class:`IntMatrix`).
 * Outside data enters through the checked constructors
   :meth:`IntMatrix.from_rows` and :func:`lattice_from_generators`; the raw
-  dataclass constructors check nothing and are for data that is consistent
-  by construction.
+  constructors check nothing and are for data that is consistent by
+  construction.
 * Hermite normal form (HNF) is row-style, and its nonzero rows are the
   canonical basis of the row lattice: pivots are positive and move strictly
   right as you go down, and every entry above a pivot is reduced into
@@ -25,8 +25,7 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 __all__ = [
     "IntMatrix",
@@ -39,8 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(NamedTuple):
     """A dense integer matrix with row-major entry storage.
 
     :meth:`from_rows` is the checked constructor; the raw constructor does
@@ -109,8 +107,7 @@ class IntMatrix:
         return IntMatrix(self.rows, other.cols, flat)
 
 
-@dataclass(frozen=True)
-class LatticeBasis:
+class LatticeBasis(NamedTuple):
     """A sublattice of Z^d held in canonical form.
 
     ``basis`` is the tuple of nonzero rows of the Hermite normal form of any

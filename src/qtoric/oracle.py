@@ -31,8 +31,7 @@ classify module, and no verification is faked for them here.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from .lattice import IntMatrix, determinant
 from .polyring import ideal_degree_lattice, substitute_linear
@@ -58,8 +57,7 @@ WITNESS_PARAMS = {
 WITNESS_FAMILIES = tuple(WITNESS_PARAMS)
 
 
-@dataclass(frozen=True)
-class IsoVerdict:
+class IsoVerdict(NamedTuple):
     """Outcome of the bounded isomorphism search.
 
     Either ``matrix`` holds the witness found, or it is None and no
@@ -83,8 +81,12 @@ class IsoVerdict:
         return {"found": False, "bound": self.bound}
 
 
-@dataclass(frozen=True)
-class MonomialWitness:
+class _WitnessFields(NamedTuple):
+    s: IntMatrix
+    t: IntMatrix
+
+
+class MonomialWitness(_WitnessFields):
     """An equivariance certificate: a signed permutation s of the
     moment-angle coordinates together with a 2x2 unimodular exponent matrix
     t reparametrizing the acting torus.
@@ -93,11 +95,9 @@ class MonomialWitness:
         ValueError: when s is not a signed permutation or |det t| != 1.
     """
 
-    s: IntMatrix
-    t: IntMatrix
+    __slots__ = ()
 
-    def __post_init__(self):
-        s = self.s
+    def __new__(cls, s: IntMatrix, t: IntMatrix) -> "MonomialWitness":
         if s.rows != s.cols:
             raise ValueError("signed permutation must be square")
         for i in range(s.rows):
@@ -108,10 +108,11 @@ class MonomialWitness:
             count = sum(1 for i in range(s.rows) if s.at(i, j))
             if count != 1:
                 raise ValueError("each column needs exactly one nonzero entry")
-        if self.t.rows != 2 or self.t.cols != 2:
+        if t.rows != 2 or t.cols != 2:
             raise ValueError("torus reparametrization must be 2x2")
-        if determinant(self.t) not in (1, -1):
+        if determinant(t) not in (1, -1):
             raise ValueError("torus reparametrization must be unimodular")
+        return super().__new__(cls, s, t)
 
     def to_json_dict(self) -> Dict[str, object]:
         return {

@@ -18,8 +18,7 @@ x^i coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 from .lattice import IntMatrix, LatticeBasis, lattice_from_generators
 
@@ -32,8 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HomogPoly:
+class HomogPoly(NamedTuple):
     """Homogeneous polynomial in Z[x1, x2].
 
     The coefficient vector alone is the value, and its length fixes the

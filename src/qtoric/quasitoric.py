@@ -21,8 +21,7 @@ to a Z-basis; it exists so the closed form never has to be trusted alone.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .lattice import (
     IntMatrix,
@@ -50,8 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CharPair:
+class CharPair(NamedTuple):
     """Characteristic pair (n, m, a, b); a has length m and b has length n.
 
     :meth:`make` is the checked constructor, and :meth:`from_json_dict`
@@ -97,9 +95,6 @@ class CharPair:
         """The same data read over the factor-swapped polytope."""
         return CharPair(self.m, self.n, self.b, self.a)
 
-    def sort_key(self) -> Tuple:
-        return (self.n, self.m, self.a, self.b)
-
     @property
     def orientation(self) -> str:
         """Which side carries the value-2 entries: "bott" when a or b
@@ -117,8 +112,7 @@ class CharPair:
         return "a2" if 2 in map(abs, self.a) else "b2"
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(NamedTuple):
     """The graded ring Z[x1, x2] / <gen1, gen2> over the product of an
     n-simplex and an m-simplex, read off the generator degrees:
     deg gen1 = n+1 and deg gen2 = m+1."""
@@ -147,8 +141,7 @@ class Presentation:
         }
 
 
-@dataclass(frozen=True)
-class GradedRanks:
+class GradedRanks(NamedTuple):
     """Degreewise ranks of the quotient ring plus any torsion found.
 
     ``torsion[d]`` lists the invariant factors bigger than 1 in degree d; all

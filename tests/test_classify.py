@@ -300,6 +300,19 @@ class TestSameClass:
         assert bundle == prod and hash(bundle) == hash(prod)
         assert len({bundle, prod, other}) == 2
 
+    def test_ne_is_the_negation_of_eq(self):
+        # the a = (1) bundle and its connected-sum label share a key and a
+        # representative but not their fields; labels of different keys
+        # differ both ways
+        bundle = canonical_class(CharPair(2, 1, (1,), (0, 0)))
+        minus = canonical_class(CharPair(2, 1, (1,), (2, 0)))
+        assert (bundle.family, minus.family) == ("bott-base-n", "connsum-minus")
+        assert bundle.representative == minus.representative
+        assert bundle == minus and not bundle != minus
+        assert hash(bundle) == hash(minus)
+        other = canonical_class(CharPair(2, 1, (2,), (1, 0)))
+        assert bundle != other and not bundle == other
+
     def test_comparison_with_other_types(self):
         c = canonical_class(CharPair(1, 1, (0,), (0,)))
         assert (c == 5) is False

@@ -668,7 +668,7 @@ def test_module_entry_point(tmp_path):
     assert json.loads(result.stdout)["count"] == 4
 
 
-# value types whose raw dataclass constructor checks nothing
+# value types whose raw constructor checks nothing
 _UNCHECKED_TYPES = {"CharPair", "IntMatrix", "HomogPoly", "LatticeBasis"}
 
 

@@ -223,7 +223,7 @@ class TestExtendable:
 
 
 def test_matrix_shape_validation():
-    # the checked constructors; the raw dataclass constructors check nothing
+    # the checked constructors; the raw constructors check nothing
     with pytest.raises(ValueError, match="rows have unequal lengths"):
         IntMatrix.from_rows([[1, 2], [3]])
     with pytest.raises(ValueError, match="cols does not match row length"):

@@ -1,9 +1,14 @@
 """The package surface: every exported name resolves, each is declared in
-exactly one layer module, and no module imports a name it does not use."""
+exactly one layer module, no module imports a name it does not use, the
+value types are immutable, and the command front end starts without the
+heavy standard-library modules."""
 
 import ast
 import importlib
 import itertools
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,3 +54,39 @@ def test_no_unused_imports():
     paths = sorted(Path(qtoric.__file__).parent.glob("*.py"))
     unused = {p.name: _unused_imports(p) for p in paths if p.name != "__init__.py"}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+_IDENTITY = qtoric.IntMatrix(2, 2, (1, 0, 0, 1))
+_PAIR = qtoric.CharPair(1, 1, (0,), (0,))
+_VALUES = [
+    (qtoric.IntMatrix(1, 1, (1,)), "entries"),
+    (qtoric.LatticeBasis(1, ((1,),)), "basis"),
+    (qtoric.HomogPoly((1, 0)), "coeffs"),
+    (_PAIR, "a"),
+    (qtoric.Presentation(qtoric.HomogPoly((1, 0)), qtoric.HomogPoly((0, 1))), "gen1"),
+    (qtoric.GradedRanks((1,), ((),)), "ranks"),
+    (qtoric.HomeoClass("product", _PAIR), "family"),
+    (qtoric.IsoVerdict(_IDENTITY), "matrix"),
+    (qtoric.MonomialWitness(_IDENTITY, _IDENTITY), "t"),
+]
+
+
+@pytest.mark.parametrize("value, field", _VALUES, ids=[type(v).__name__ for v, _ in _VALUES])
+def test_value_types_are_immutable(value, field):
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):
+        value.extra = 0
+
+
+def test_cli_startup_skips_dataclasses():
+    # -S leaves out the site hooks, which may import anything themselves;
+    # the package's own imports decide what is loaded
+    src = str(Path(qtoric.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import qtoric.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
