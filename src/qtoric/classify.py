@@ -21,19 +21,22 @@ The decision layer sits on three mechanisms:
   the class of a = (2), b = (1, 0, ..., 0).
 
 Class labels carry one complete key: ``HomeoClass.key`` is equal for two
-labels exactly when the manifolds are homeomorphic (Bott labels are keyed by
-the ``tilde_canonical`` series of their twisting vector), and labels compare
-and hash by it.  ``same_class`` is key equality plus the name of the rule
-that decides it.
+labels exactly when the manifolds are homeomorphic, and labels compare and
+hash by it.  Bott labels are keyed by ``_bott_key`` of their representative:
+the ``tilde_canonical`` series of its twisting vector.  ``same_class`` is
+key equality plus the name of the rule that decides it.
 
 A label depends on the normal form alone: ``canonical_class`` is
 ``normalize`` followed by ``_label``.  A normal form is itself a
 ``CharPair``: ``normalize`` settles facet relabeling, the global sign and
 the factor swap, square base included, and the pair's ``orientation`` names
 the side of its value-2 entries, so ``_label`` reads each normal form as it
-stands and handles no mirrors.  So ``enumerate_classes`` labels the normal
+stands and handles no mirrors.  So ``enumerate_classes`` reads the normal
 forms that ``quasitoric.admissible_normal_forms`` lists directly, without
-checking or normalizing them again, and groups the labels by key.
+checking or normalizing them again.  It keys each Bott form with
+``_bott_key`` straight from its twisting vector and keeps the smallest form
+per key, labels the other forms, and so builds one label per Bott class,
+not one per Bott normal form.
 """
 
 from __future__ import annotations
@@ -80,20 +83,42 @@ def tilde_canonical(u: Tuple[int, ...], ell: int) -> Tuple[int, ...]:
     (1 + wx) * prod(1 + (v_i + w)x), and the flip sends S(x) to S(-x).  A
     shift adds (k+1)*w to the x-coefficient, so for each flip v = eps*u one
     shift w = -floor(sum(v) / (k+1)) puts it in [0, k]; the smaller of the
-    two resulting coefficient tuples is the orbit's representative.
+    two resulting coefficient tuples is the orbit's representative.  Those
+    x-coefficients are sum(u) mod (k+1) and -sum(u) mod (k+1), so a flip's
+    series is expanded only when its x-coefficient is not the larger one.
     """
     k = len(u)
     if k < 1:
         raise ValueError("vector must have positive length")
     if ell < 1:
         raise ValueError("truncation order must be at least 1")
+    s = sum(u)
+    r = s % (k + 1)  # the plus flip's x-coefficient; the minus flip's is k+1-r or 0
     candidates = []
-    for eps in (1, -1):
-        w = -((eps * sum(u)) // (k + 1))
-        candidates.append(
-            _trunc_linear_product([w] + [eps * x + w for x in u], ell)
-        )
+    if 2 * r <= k + 1:
+        w = -(s // (k + 1))
+        candidates.append(_trunc_linear_product(map(w.__add__, u), ell, w))
+    if r == 0 or 2 * r >= k + 1:
+        w = -(-s // (k + 1))
+        candidates.append(_trunc_linear_product(map(w.__sub__, u), ell, w))  # w - x
     return min(candidates)
+
+
+def _bott_key(cp: CharPair) -> Tuple:
+    """The class key of a pair with a or b zero: the ``tilde_canonical``
+    series of its twisting vector, tagged with the vector's side, or the
+    product key when that vector is equivalent to zero (the zero pair
+    included), which both sides share."""
+    n, m, a, b = cp
+    if any(a):
+        side, series = "n", tilde_canonical(a, n)
+    elif any(b):
+        side, series = "m", tilde_canonical(b, m)
+    else:
+        return (n, m, "bott-product")
+    if any(series[1:]):
+        return (n, m, "bott", side, series)
+    return (n, m, "bott-product")
 
 
 class HomeoClass(NamedTuple):
@@ -138,24 +163,15 @@ class HomeoClass(NamedTuple):
         homeomorphic.
 
         Non-Bott labels are exact, so their fields form the key.  A Bott
-        label is keyed by the ``tilde_canonical`` series of its twisting
-        vector on its side; vectors equivalent to zero, whose series is 1,
-        all take the product key, which both sides share.
+        label (``connsum-minus`` included: its representative is the
+        a = (1) bundle) is keyed by ``_bott_key`` of its representative,
+        the key ``enumerate_classes`` reads off Bott normal forms directly.
         """
-        base = (self.n, self.m)
         if self.family == "nonbott":
-            return base + ("nb", self.s, self.r, self.orientation)
+            return (self.n, self.m, "nb", self.s, self.r, self.orientation)
         if is_nonbott_class(self):
-            return base + ("fam", self.family)
-        side = _bott_side(self)
-        if side is None:
-            return base + ("bott-product",)
-        vec = (1,) if self.family == "connsum-minus" else self.vec
-        ell = self.m if side == "m" else self.n
-        series = tilde_canonical(vec, ell)
-        if series == (1,) + (0,) * ell:
-            return base + ("bott-product",)
-        return base + ("bott", side, series)
+            return (self.n, self.m, "fam", self.family)
+        return _bott_key(self.representative)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, HomeoClass) and self.key == other.key
@@ -324,8 +340,11 @@ def enumerate_classes(n: int, m: int, bound: int) -> List[HomeoClass]:
     """All homeomorphism classes realized by pairs with entries in
     [-bound, bound].
 
-    The labels are read off ``admissible_normal_forms``, one per normal form
-    of a valid pair within the bound, and grouped by ``HomeoClass.key``.
+    Reads the normal forms that ``admissible_normal_forms`` lists, one per
+    valid pair within the bound.  A Bott form (a or b zero) is keyed by
+    ``_bott_key`` straight from its twisting vector, and only the smallest
+    form per key is kept; every other form is labelled through ``_label``
+    and keyed by ``HomeoClass.key``.  So each Bott class is labelled once.
     The non-Bott portion is complete and bound-independent once bound >= 2
     (normalized entries are 0, 1, 2); the Bott portion is exhaustive only
     within the bound, since projective bundles form infinite families.
@@ -337,12 +356,28 @@ def enumerate_classes(n: int, m: int, bound: int) -> List[HomeoClass]:
         ValueError: when n < m, m < 1 or bound < 0.
     """
     best: Dict[Tuple, HomeoClass] = {}
-    for cp in admissible_normal_forms(n, m, bound):
-        c = _label(cp)
-        key = c.key
+
+    def keep(c: HomeoClass, key: Tuple) -> None:
         kept = best.get(key)
         if kept is None or c.sort_key() < kept.sort_key():
             best[key] = c
+
+    bott: Dict[Tuple, CharPair] = {}
+    for cp in admissible_normal_forms(n, m, bound):
+        if any(cp.a) and any(cp.b):
+            c = _label(cp)
+            keep(c, c.key)
+        else:
+            # the pairs of one Bott key share a family, except that the
+            # product key also holds the zero pair, the smallest pair and
+            # the only "product"; so the smallest pair has the smallest
+            # label sort key
+            key = _bott_key(cp)
+            kept = bott.get(key)
+            if kept is None or cp < kept:
+                bott[key] = cp
+    for key, cp in bott.items():
+        keep(_label(cp), key)
     return sorted(best.values(), key=HomeoClass.sort_key)
 
 

@@ -109,12 +109,19 @@ def substitute_linear(p: HomogPoly, g: IntMatrix) -> HomogPoly:
     return HomogPoly(tuple(out))
 
 
-def _trunc_linear_product(factors: Iterable[int], ell: int) -> Tuple[int, ...]:
-    """Coefficients of prod_c (1 + c*x) over ``factors`` in Z[x]/x^(ell+1)."""
-    coeffs = [1] + [0] * ell
+def _trunc_linear_product(
+    factors: Iterable[int], ell: int, lead: int = 0
+) -> Tuple[int, ...]:
+    """Coefficients of (1 + lead*x) * prod_c (1 + c*x) over ``factors`` in
+    Z[x]/x^(ell+1), for ell >= 1."""
+    coeffs = [1, lead] + [0] * (ell - 1)
+    # after j nonzero factors the coefficients above x^j are still 0
+    top = 1 if lead else 0
     for c in factors:
         if c:
-            for i in range(ell, 0, -1):
+            if top < ell:
+                top += 1
+            for i in range(top, 0, -1):
                 coeffs[i] += c * coeffs[i - 1]
     return tuple(coeffs)
 
@@ -138,9 +145,7 @@ def trunc_product_identity(
     if ell < 1:
         raise ValueError("truncation order must be at least 1")
     lhs = _trunc_linear_product([int(ui) for ui in u], ell)
-    rhs = _trunc_linear_product(
-        [eps * w] + [eps * (int(vi) + w) for vi in u_prime], ell
-    )
+    rhs = _trunc_linear_product([eps * (int(vi) + w) for vi in u_prime], ell, eps * w)
     return lhs == rhs
 
 

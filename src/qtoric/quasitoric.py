@@ -21,6 +21,7 @@ to a Z-basis; it exists so the closed form never has to be trusted alone.
 from __future__ import annotations
 
 import itertools
+from operator import neg
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .lattice import (
@@ -202,10 +203,16 @@ def _canonical_sort(v: Iterable[int]) -> Tuple[int, ...]:
     return tuple(sorted(v, key=lambda x: (x == 0, -x)))
 
 
+def _negated_sort(v: Tuple[int, ...]) -> Tuple[int, ...]:
+    # ``_canonical_sort`` of -v for a canonically sorted v: the nonzero
+    # prefix reversed and negated, the zeros still trailing
+    k = len(v) - v.count(0)
+    return tuple(map(neg, reversed(v[:k]))) + v[k:]
+
+
 def _canonical_sign(v: Tuple[int, ...]) -> Tuple[int, ...]:
     plus = _canonical_sort(v)
-    minus = _canonical_sort(-x for x in v)
-    return max(plus, minus)
+    return max(plus, _negated_sort(plus))
 
 
 def normalize(cp: CharPair) -> CharPair:
@@ -311,7 +318,7 @@ def _bott_vectors(length: int, bound: int) -> Iterable[Tuple[int, ...]]:
     # sorted, so zeros trail and v[0] is 0 only for the zero vector
     values = _canonical_sort(range(-bound, bound + 1))
     for v in itertools.combinations_with_replacement(values, length):
-        if v[0] and v >= _canonical_sort(-x for x in v):
+        if v[0] and v >= _negated_sort(v):
             yield v
 
 

@@ -1,6 +1,8 @@
-"""Pairwise references shared by the tests: the filtered listing that
-``admissible_normal_forms`` must reproduce, and the two-branch decision of
-the truncated-product equivalence that ``tilde_canonical`` must agree with."""
+"""References shared by the tests: the filtered listing that
+``admissible_normal_forms`` must reproduce, the two-branch decision of the
+truncated-product equivalence that ``tilde_canonical`` must agree with, and
+a two-product ``tilde_canonical`` with its own full-length kernel, whose
+series the package's must equal."""
 
 import itertools
 from typing import Tuple
@@ -46,3 +48,32 @@ def tilde_equiv(u: Tuple[int, ...], u_prime: Tuple[int, ...], ell: int) -> bool:
             if trunc_product_identity(u, u_prime, eps, w, ell):
                 return True
     return False
+
+
+def _trunc_linear_product(factors, ell):
+    """Coefficients of prod_c (1 + c*x) over ``factors`` in Z[x]/x^(ell+1),
+    every pass running over all ell coefficients."""
+    coeffs = [1] + [0] * ell
+    for c in factors:
+        if c:
+            for i in range(ell, 0, -1):
+                coeffs[i] += c * coeffs[i - 1]
+    return tuple(coeffs)
+
+
+def tilde_canonical(u: Tuple[int, ...], ell: int) -> Tuple[int, ...]:
+    """``qtoric.classify.tilde_canonical`` spelled out: for each flip eps
+    the shifted product (1 + w*x) * prod(1 + (eps*u_i + w)*x) with
+    w = -floor(eps*sum(u) / (k+1)), and the smaller of the two series."""
+    k = len(u)
+    if k < 1:
+        raise ValueError("vector must have positive length")
+    if ell < 1:
+        raise ValueError("truncation order must be at least 1")
+    candidates = []
+    for eps in (1, -1):
+        w = -((eps * sum(u)) // (k + 1))
+        candidates.append(
+            _trunc_linear_product([w] + [eps * x + w for x in u], ell)
+        )
+    return min(candidates)

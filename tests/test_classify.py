@@ -20,6 +20,7 @@ from qtoric.classify import (
 from qtoric.quasitoric import CharPair, validate
 
 from pair_reference import filtered_admissible_pairs, tilde_equiv
+from pair_reference import tilde_canonical as reference_canonical
 
 
 @st.composite
@@ -170,6 +171,25 @@ class TestTildeCanonical:
         eps = data.draw(st.sampled_from([1, -1]))
         moved = tuple(eps * x for x in data.draw(st.permutations(u)))
         assert tilde_canonical(moved, ell) == tilde_canonical(tuple(u), ell)
+
+    @settings(max_examples=300)
+    @given(
+        u=st.lists(
+            st.one_of(
+                st.just(0),
+                st.integers(-3, 3),
+                st.integers(-(10**30) + 1, 10**30 - 1),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        ell=st.integers(1, 7),
+    )
+    def test_series_equals_reference(self, u, ell):
+        # equality tests alone would pass a kernel that changed every
+        # series the same way; this pins the coefficients themselves
+        u = tuple(u)
+        assert tilde_canonical(u, ell) == reference_canonical(u, ell)
 
     def test_zero_vector_series_is_one(self):
         for k in range(1, 4):
@@ -439,6 +459,19 @@ class TestEnumerate:
         digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
         assert digest == (
             "a7e075705426db01e02b79c0ab0418b8d9bae0b8ca7fcba698e160fb7976bc99"
+        )
+
+    def test_enumeration_bytes_pinned_at_cli_caps(self):
+        # the longest b-side vectors and the deepest truncation below the
+        # vector length (ell = m < k = n) at the enumerate command's caps
+        doc = [
+            [c.to_json_dict() for c in enumerate_classes(n, m, 4)]
+            for n in (6, 7, 8)
+            for m in (1, 2, n - 1, n)
+        ]
+        digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        assert digest == (
+            "5f3dbb305d535c581fcad3d642405441c26c090e65a9fa9d8a298cac7f154dc8"
         )
 
     def test_class_key_is_exact(self):
