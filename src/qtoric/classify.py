@@ -20,11 +20,12 @@ The decision layer sits on three mechanisms:
   families are a connected sum of two copies of complex projective space and
   the class of a = (2), b = (1, 0, ..., 0).
 
-Class labels carry one complete key: ``HomeoClass.key`` is equal for two
-labels exactly when the manifolds are homeomorphic, and labels compare and
-hash by it.  Bott labels are keyed by ``_bott_key`` of their representative:
-the ``tilde_canonical`` series of its twisting vector.  ``same_class`` is
-key equality plus the name of the rule that decides it.
+A class label is its family and its representative, a normal form of the
+class.  ``HomeoClass.key`` is equal for two labels exactly when the
+manifolds are homeomorphic, and labels compare and hash by it: a non-Bott
+label by its family and representative, a Bott label by ``_bott_key`` of
+its representative, the ``tilde_canonical`` series of its twisting vector.
+``same_class`` is key equality plus the name of the rule that decides it.
 
 A label depends on the normal form alone: ``canonical_class`` is
 ``normalize`` followed by ``_label``.  A normal form is itself a
@@ -33,10 +34,9 @@ the factor swap, square base included, and the pair's ``orientation`` names
 the side of its value-2 entries, so ``_label`` reads each normal form as it
 stands and handles no mirrors.  So ``enumerate_classes`` reads the normal
 forms that ``quasitoric.admissible_normal_forms`` lists directly, without
-checking or normalizing them again.  It keys each Bott form with
-``_bott_key`` straight from its twisting vector and keeps the smallest form
-per key, labels the other forms, and so builds one label per Bott class,
-not one per Bott normal form.
+checking or normalizing them again.  It keeps the smallest form per class
+key in one dict, a Bott form keyed with ``_bott_key`` straight from its
+twisting vector, and labels each kept form once.
 """
 
 from __future__ import annotations
@@ -69,6 +69,9 @@ _FAMILY_ORDER = {
 
 # families whose members are not generalized Bott manifolds
 _NONBOTT_FAMILIES = frozenset({"nonbott", "connsum-plus", "special-m21"})
+
+# Bott label families on opposite sides (connsum-minus is the a = (1) bundle)
+_CROSS_BASE = ({"bott-base-m", "bott-base-n"}, {"bott-base-m", "connsum-minus"})
 
 
 def tilde_canonical(u: Tuple[int, ...], ell: int) -> Tuple[int, ...]:
@@ -136,18 +139,18 @@ class HomeoClass(NamedTuple):
                      label and bridged through equality)
       special-m21    the odd-n class of a=(2), b=(1, 0, ..., 0)
 
-    ``n`` and ``m`` are the representative's.  Labels are equal exactly
-    when the classes are homeomorphic: they compare and hash by ``key``,
-    which is coarser than the field tuple, and a label equals no other
-    type.  Tuple order is field order; ``sort_key`` is the label order.
+    The tuple is (family, representative), a normal form of the class, and
+    every other attribute is read off the representative: ``n`` and ``m``;
+    for ``nonbott`` its ``orientation`` and its counts ``s`` of 2s and
+    ``r`` of 1s; for ``bott-base-n`` and ``bott-base-m`` its a or b vector
+    as ``vec``; None otherwise.  Labels are equal exactly when the classes
+    are homeomorphic: they compare and hash by ``key``, which is coarser
+    than the field tuple, and a label equals no other type.  ``sort_key``
+    is the label order.
     """
 
     family: str
     representative: CharPair
-    s: Optional[int] = None
-    r: Optional[int] = None
-    orientation: Optional[str] = None
-    vec: Optional[Tuple[int, ...]] = None
 
     @property
     def n(self) -> int:
@@ -158,19 +161,41 @@ class HomeoClass(NamedTuple):
         return self.representative.m
 
     @property
+    def orientation(self) -> Optional[str]:
+        return self.representative.orientation if self.family == "nonbott" else None
+
+    @property
+    def s(self) -> Optional[int]:
+        if self.family != "nonbott":
+            return None
+        return (self.representative.a + self.representative.b).count(2)
+
+    @property
+    def r(self) -> Optional[int]:
+        if self.family != "nonbott":
+            return None
+        return (self.representative.a + self.representative.b).count(1)
+
+    @property
+    def vec(self) -> Optional[Tuple[int, ...]]:
+        if self.family == "bott-base-n":
+            return self.representative.a
+        if self.family == "bott-base-m":
+            return self.representative.b
+        return None
+
+    @property
     def key(self) -> Tuple:
         """The complete invariant: equal exactly when the classes are
         homeomorphic.
 
-        Non-Bott labels are exact, so their fields form the key.  A Bott
-        label (``connsum-minus`` included: its representative is the
-        a = (1) bundle) is keyed by ``_bott_key`` of its representative,
-        the key ``enumerate_classes`` reads off Bott normal forms directly.
+        A non-Bott class has one representative, so (family,
+        representative) is its key.  A Bott label (``connsum-minus``
+        included: its representative is the a = (1) bundle) is keyed by
+        ``_bott_key`` of its representative.
         """
-        if self.family == "nonbott":
-            return (self.n, self.m, "nb", self.s, self.r, self.orientation)
         if is_nonbott_class(self):
-            return (self.n, self.m, "fam", self.family)
+            return (self.family, self.representative)
         return _bott_key(self.representative)
 
     def __eq__(self, other: object) -> bool:
@@ -190,7 +215,6 @@ class HomeoClass(NamedTuple):
             self.s if self.s is not None else -1,
             self.r if self.r is not None else -1,
             self.orientation or "",
-            self.vec if self.vec is not None else (),
             self.representative,
         )
 
@@ -215,16 +239,6 @@ class HomeoClass(NamedTuple):
 
 def is_nonbott_class(c: HomeoClass) -> bool:
     return c.family in _NONBOTT_FAMILIES
-
-
-def _bott_side(c: HomeoClass) -> Optional[str]:
-    """The side a Bott label's twisting vector sits on: "m" for a b-side
-    bundle (which ``_label`` makes only for n != m), None for the product
-    (either side), "n" otherwise (``connsum-minus`` is the a = (1)
-    bundle)."""
-    if c.family == "product":
-        return None
-    return "m" if c.family == "bott-base-m" else "n"
 
 
 def same_class(c1: HomeoClass, c2: HomeoClass) -> Tuple[bool, str]:
@@ -252,16 +266,20 @@ def same_class(c1: HomeoClass, c2: HomeoClass) -> Tuple[bool, str]:
         rule = "orientation-swap" if c1.orientation != c2.orientation else "sr-fold"
     elif is_nonbott_class(c1):
         rule = "connected-sum-family"
-    elif {_bott_side(c1), _bott_side(c2)} == {"n", "m"}:
+    elif {c1.family, c2.family} in _CROSS_BASE:
         rule = "bott-cross-base"
     else:
         rule = "bott-vector-equivalence"
     return c1.key == c2.key, rule
 
 
-def _fold(count: int, slots: int) -> int:
-    half = (slots + 1) // 2
-    return slots + 1 - count if count > half else count
+def _fold(v: Tuple[int, ...]) -> Tuple[int, ...]:
+    """A side of a non-Bott normal form, its nonzero entries all equal and
+    first, with their count c folded to len(v) + 1 - c above half of len(v)."""
+    slots, count = len(v), len(v) - v.count(0)
+    if count > (slots + 1) // 2:
+        count = slots + 1 - count
+    return v[:1] * count + (0,) * (slots - count)
 
 
 def canonical_class(cp: CharPair) -> HomeoClass:
@@ -277,12 +295,12 @@ def _label(cp: CharPair) -> HomeoClass:
     """The homeomorphism-class label of a normal form, the pair that
     ``normalize`` returns; the label reads nothing but that pair, and a Bott
     normal form is its own representative."""
-    n, m, orientation = cp.n, cp.m, cp.orientation
-    if orientation == "bott":
+    n, m = cp.n, cp.m
+    if cp.orientation == "bott":
         if any(cp.a):
-            return HomeoClass("bott-base-n", cp, vec=cp.a)
+            return HomeoClass("bott-base-n", cp)
         if any(cp.b):
-            return HomeoClass("bott-base-m", cp, vec=cp.b)
+            return HomeoClass("bott-base-m", cp)
         return HomeoClass("product", cp)
     if m == 1:
         if n == 1:
@@ -297,22 +315,15 @@ def _label(cp: CharPair) -> HomeoClass:
             # collapses onto the a-twisted bundle
             if aval == 1:
                 return HomeoClass("connsum-minus", CharPair(n, 1, (1,), (0,) * n))
-            return _label(CharPair(n, 1, (2,), (0,) * n))
+            return HomeoClass("bott-base-n", CharPair(n, 1, (2,), (0,) * n))
         if aval == 1:
             rep = CharPair(n, 1, (1,), (2,) + (0,) * (n - 1))
             return HomeoClass("connsum-plus", rep)
         rep = CharPair(n, 1, (2,), (1,) + (0,) * (n - 1))
         return HomeoClass("special-m21", rep)
-    # both dimensions at least 2
-    if orientation == "a2":
-        s = _fold(cp.a.count(2), m)
-        r = _fold(cp.b.count(1), n)
-        rep = CharPair(n, m, (2,) * s + (0,) * (m - s), (1,) * r + (0,) * (n - r))
-    else:
-        s = _fold(cp.b.count(2), n)
-        r = _fold(cp.a.count(1), m)
-        rep = CharPair(n, m, (1,) * r + (0,) * (m - r), (2,) * s + (0,) * (n - s))
-    return HomeoClass("nonbott", rep, s=s, r=r, orientation=orientation)
+    # both dimensions at least 2: the 2s sit on the side the orientation
+    # names and the 1s on the other, and each side's count folds
+    return HomeoClass("nonbott", CharPair(n, m, _fold(cp.a), _fold(cp.b)))
 
 
 def homeomorphic(cp1: CharPair, cp2: CharPair) -> Tuple[bool, str]:
@@ -340,45 +351,32 @@ def enumerate_classes(n: int, m: int, bound: int) -> List[HomeoClass]:
     """All homeomorphism classes realized by pairs with entries in
     [-bound, bound].
 
-    Reads the normal forms that ``admissible_normal_forms`` lists, one per
-    valid pair within the bound.  A Bott form (a or b zero) is keyed by
-    ``_bott_key`` straight from its twisting vector, and only the smallest
-    form per key is kept; every other form is labelled through ``_label``
-    and keyed by ``HomeoClass.key``.  So each Bott class is labelled once.
-    The non-Bott portion is complete and bound-independent once bound >= 2
+    Keeps the smallest of the normal forms that ``admissible_normal_forms``
+    lists per class key, a Bott form (a or b zero) keyed by ``_bott_key``
+    straight from its twisting vector, and labels each kept form.  The
+    non-Bott portion is complete and bound-independent once bound >= 2
     (normalized entries are 0, 1, 2); the Bott portion is exhaustive only
     within the bound, since projective bundles form infinite families.
     Output order and chosen labels are deterministic and independent of
-    generation order: within each class the label with the smallest sort key
-    wins.
+    generation order: each class gets the label with the smallest sort key.
 
     Raises:
         ValueError: when n < m, m < 1 or bound < 0.
     """
-    best: Dict[Tuple, HomeoClass] = {}
-
-    def keep(c: HomeoClass, key: Tuple) -> None:
-        kept = best.get(key)
-        if kept is None or c.sort_key() < kept.sort_key():
-            best[key] = c
-
-    bott: Dict[Tuple, CharPair] = {}
+    best: Dict[Tuple, CharPair] = {}
     for cp in admissible_normal_forms(n, m, bound):
-        if any(cp.a) and any(cp.b):
-            c = _label(cp)
-            keep(c, c.key)
-        else:
-            # the pairs of one Bott key share a family, except that the
-            # product key also holds the zero pair, the smallest pair and
-            # the only "product"; so the smallest pair has the smallest
-            # label sort key
-            key = _bott_key(cp)
-            kept = bott.get(key)
-            if kept is None or cp < kept:
-                bott[key] = cp
-    for key, cp in bott.items():
-        keep(_label(cp), key)
-    return sorted(best.values(), key=HomeoClass.sort_key)
+        key = _label(cp).key if any(cp.a) and any(cp.b) else _bott_key(cp)
+        kept = best.get(key)
+        if kept is None or cp < kept:
+            best[key] = cp
+    # the smallest form of a key has the label that sorts first: the forms
+    # of a non-Bott key all give one label; the forms of a Bott key share a
+    # family, except that the product key also holds the zero pair (the
+    # smallest form and the only "product"), and that the m = 1 collapses
+    # (n, 1, (1,), b != 0) and (n, 1, (2,), b != 0) land on the keys of the
+    # bundles (n, 1, (1,), 0) and (n, 1, (2,), 0), smaller Bott forms whose
+    # "bott-base-n" sorts before "connsum-minus"
+    return sorted(map(_label, best.values()), key=HomeoClass.sort_key)
 
 
 def count_nonbott(n: int, m: int) -> int:
