@@ -7,11 +7,12 @@ so no fixed-width arithmetic is ever used.
 
 Conventions
 -----------
-* Matrices are dense and row-major (:class:`IntMatrix`).
-* Outside data enters through the checked constructors
+* A matrix is a sequence of equal-length integer rows, and the routines
+  that take rows check their shape themselves.  :class:`IntMatrix`, dense
+  and row-major, is the matrix value handed out to callers.
+* Other outside data enters through the checked constructors
   :meth:`IntMatrix.from_rows` and :func:`lattice_from_generators`; the raw
-  constructors check nothing and are for data that is consistent by
-  construction.
+  constructors check nothing and are for data consistent by construction.
 * Hermite normal form (HNF) is row-style, and its nonzero rows are the
   canonical basis of the row lattice: pivots are positive and move strictly
   right as you go down, and every entry above a pivot is reduced into
@@ -82,29 +83,9 @@ class IntMatrix(NamedTuple):
     def at(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
 
-    def row(self, i: int) -> Tuple[int, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
     def to_rows(self) -> Tuple[Tuple[int, ...], ...]:
-        return tuple(self.row(i) for i in range(self.rows))
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
-
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        """Exact matrix product self @ other."""
-        if self.cols != other.rows:
-            raise ValueError("inner dimensions do not match")
-        a = self.to_rows()
-        bt = other.transpose().to_rows()
-        flat = tuple(
-            sum(x * y for x, y in zip(ar, bc)) for ar in a for bc in bt
-        )
-        return IntMatrix(self.rows, other.cols, flat)
+        c = self.cols
+        return tuple(self.entries[i * c : (i + 1) * c] for i in range(self.rows))
 
 
 class LatticeBasis(NamedTuple):
@@ -230,9 +211,17 @@ def determinant(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def smith_normal_form(m: IntMatrix) -> Tuple[int, ...]:
-    """Smith normal form diagonal of ``m``: min(rows, cols) nonnegative
-    entries, each dividing the next.
+def _row_lists(rows: Sequence[Sequence[int]]) -> List[List[int]]:
+    """Copy equal-length rows to lists."""
+    a = [list(r) for r in rows]
+    if any(len(r) != len(a[0]) for r in a):
+        raise ValueError("rows have unequal lengths")
+    return a
+
+
+def smith_normal_form(rows: Sequence[Sequence[int]]) -> Tuple[int, ...]:
+    """Smith normal form diagonal of the matrix with the given rows:
+    min(#rows, #columns) nonnegative entries, each dividing the next.
 
     Row Hermite reduction of the matrix and of its transpose alternate until
     a diagonal remains; each reduction keeps entries reduced against their
@@ -242,7 +231,8 @@ def smith_normal_form(m: IntMatrix) -> Tuple[int, ...]:
     diagonal gives the divisibility chain, since diag(x, y) is equivalent to
     diag(gcd(x, y), lcm(x, y)).
     """
-    a = [list(r) for r in m.to_rows()]
+    a = _row_lists(rows)
+    size = min(len(a), len(a[0])) if a else 0
     while True:
         a = [r for r in a if any(r)]
         _hnf_rows(a)
@@ -254,7 +244,7 @@ def smith_normal_form(m: IntMatrix) -> Tuple[int, ...]:
         for j in range(i + 1, len(diag)):
             g = math.gcd(diag[i], diag[j])
             diag[i], diag[j] = g, diag[i] * diag[j] // g
-    return tuple(diag) + (0,) * (min(m.rows, m.cols) - len(diag))
+    return tuple(diag) + (0,) * (size - len(diag))
 
 
 def lattice_from_generators(ambient_dim: int, vectors: Iterable[Sequence[int]]) -> LatticeBasis:
@@ -269,22 +259,25 @@ def lattice_from_generators(ambient_dim: int, vectors: Iterable[Sequence[int]]) 
     return LatticeBasis(ambient_dim, tuple(tuple(r) for r in gens if any(r)))
 
 
-def kernel_basis(m: IntMatrix) -> LatticeBasis:
-    """Basis of the full integer kernel {v in Z^cols : m @ v = 0}.
+def kernel_basis(rows: Sequence[Sequence[int]]) -> LatticeBasis:
+    """Basis of the full integer kernel {v in Z^c : A v = 0}, where A has the
+    given rows, of length c.  No rows leave c unknown and raise ValueError.
 
     The kernel of an integer matrix is automatically saturated (if k*v maps
     to zero for k != 0 then so does v), and the construction below preserves
-    that: row-reduce the block matrix [m^T | I]; the rows whose left block
-    vanishes carry, in the right block, a basis of the left kernel of m^T,
-    which is the kernel of m.  Those rows sit inside a unimodular transform,
+    that: row-reduce the block matrix [A^T | I]; the rows whose left block
+    vanishes carry, in the right block, a basis of the left kernel of A^T,
+    which is the kernel of A.  Those rows sit inside a unimodular transform,
     so they span the kernel primitively, and a final HNF canonicalizes them.
     """
-    mt = m.transpose()
-    aug = [list(mt.row(i)) + [1 if j == i else 0 for j in range(m.cols)] for i in range(m.cols)]
-    if aug:
-        _hnf_rows(aug)
-    gens = [row[m.rows :] for row in aug if all(x == 0 for x in row[: m.rows])]
-    return lattice_from_generators(m.cols, gens)
+    a = _row_lists(rows)
+    if not a:
+        raise ValueError("kernel needs at least one row")
+    r, c = len(a), len(a[0])
+    aug = [list(col) + [1 if j == i else 0 for j in range(c)] for i, col in enumerate(zip(*a))]
+    _hnf_rows(aug)
+    gens = [row[r:] for row in aug if not any(row[:r])]
+    return lattice_from_generators(c, gens)
 
 
 def is_basis_extendable(vectors: Sequence[Sequence[int]]) -> bool:
@@ -303,7 +296,6 @@ def is_basis_extendable(vectors: Sequence[Sequence[int]]) -> bool:
     k = len(vecs)
     if k > d:
         return False
-    m = IntMatrix.from_rows(vecs, cols=d)
     if k == d:
-        return determinant(m) in (1, -1)
-    return all(x == 1 for x in smith_normal_form(m))
+        return determinant(IntMatrix.from_rows(vecs, cols=d)) in (1, -1)
+    return all(x == 1 for x in smith_normal_form(vecs))

@@ -31,7 +31,7 @@ classify module, and no verification is faked for them here.
 from __future__ import annotations
 
 import functools
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .lattice import IntMatrix, determinant
 from .polyring import ideal_degree_lattice, substitute_linear
@@ -100,13 +100,13 @@ class MonomialWitness(_WitnessFields):
     def __new__(cls, s: IntMatrix, t: IntMatrix) -> "MonomialWitness":
         if s.rows != s.cols:
             raise ValueError("signed permutation must be square")
-        for i in range(s.rows):
-            nonzero = [x for x in s.row(i) if x]
+        rows = s.to_rows()
+        for row in rows:
+            nonzero = [x for x in row if x]
             if len(nonzero) != 1 or nonzero[0] not in (1, -1):
                 raise ValueError("each row needs exactly one entry of +-1")
-        for j in range(s.cols):
-            count = sum(1 for i in range(s.rows) if s.at(i, j))
-            if count != 1:
+        for col in zip(*rows):
+            if sum(1 for x in col if x) != 1:
                 raise ValueError("each column needs exactly one nonzero entry")
         if t.rows != 2 or t.cols != 2:
             raise ValueError("torus reparametrization must be 2x2")
@@ -122,12 +122,12 @@ class MonomialWitness(_WitnessFields):
 
 
 @functools.lru_cache(maxsize=8)
-def _candidate_matrices(bound: int) -> Tuple[IntMatrix, ...]:
-    """All 2x2 matrices with |entries| <= bound and det +-1, identity first,
-    then ascending by (max |entry|, flattened entries); g and -g are the same
-    substitution up to sign, so only the copy whose first nonzero entry is
-    positive is kept.  The list depends on the bound alone, so it is built
-    once per bound and shared by every search."""
+def _candidate_matrices(bound: int) -> Tuple[Tuple[Tuple[int, int], Tuple[int, int]], ...]:
+    """All 2x2 matrices, as row pairs, with |entries| <= bound and det +-1,
+    identity first, then ascending by (max |entry|, flattened entries); g and
+    -g are the same substitution up to sign, so only the copy whose first
+    nonzero entry is positive is kept.  The list depends on the bound alone,
+    so it is built once per bound and shared by every search."""
     if bound < 1:
         return ()
     rest = []
@@ -138,11 +138,11 @@ def _candidate_matrices(bound: int) -> Tuple[IntMatrix, ...]:
                 for g22 in values:
                     flat = (g11, g12, g21, g22)
                     if g11 * g22 - g12 * g21 in (1, -1) and next(x for x in flat if x) > 0:
-                        rest.append(flat)
-    identity = (1, 0, 0, 1)
-    rest.sort(key=lambda f: (max(abs(x) for x in f), f))
-    ordered = [identity] + [f for f in rest if f != identity]
-    return tuple(IntMatrix.from_rows([[f[0], f[1]], [f[2], f[3]]]) for f in ordered)
+                        rest.append(((g11, g12), (g21, g22)))
+    identity = ((1, 0), (0, 1))
+    # row pairs order as their flattened entries do
+    rest.sort(key=lambda g: (max(abs(x) for x in g[0] + g[1]), g))
+    return (identity,) + tuple(g for g in rest if g != identity)
 
 
 def ring_iso_search(p: Presentation, q: Presentation, bound: int = 3) -> IsoVerdict:
@@ -182,7 +182,7 @@ def ring_iso_search(p: Presentation, q: Presentation, bound: int = 3) -> IsoVerd
             # and the target must lie in the image ideal
             pieces = {d: ideal_degree_lattice(image, d) for d in target}
             if all(pieces[t.degree].contains(t.coeffs) for t in q.gens):
-                return IsoVerdict(matrix=g)
+                return IsoVerdict(matrix=IntMatrix(2, 2, g[0] + g[1]))
     return IsoVerdict(bound=bound)
 
 
@@ -192,6 +192,12 @@ def weight_matrix(cp: CharPair) -> IntMatrix:
     coordinate i."""
     u, v = kernel_span_vectors(cp)
     return IntMatrix.from_rows([[u[i], v[i]] for i in range(len(u))])
+
+
+def _product(x: IntMatrix, y: IntMatrix) -> List[List[int]]:
+    """Rows of the exact product x*y, for x.cols == y.rows."""
+    y_cols = list(zip(*y.to_rows()))
+    return [[sum(a * b for a, b in zip(row, col)) for col in y_cols] for row in x.to_rows()]
 
 
 def witness_check(u: IntMatrix, u_prime: IntMatrix, witness: MonomialWitness) -> bool:
@@ -207,7 +213,7 @@ def witness_check(u: IntMatrix, u_prime: IntMatrix, witness: MonomialWitness) ->
         raise ValueError("weight matrices must have equal height")
     if witness.s.rows != u.rows:
         raise ValueError("signed permutation size must match coordinate count")
-    return witness.s.mul(u) == u_prime.mul(witness.t)
+    return _product(witness.s, u) == _product(u_prime, witness.t)
 
 
 def _signed_permutation(size: int, mapping: Dict[int, Tuple[int, int]]) -> IntMatrix:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
-from .lattice import IntMatrix, LatticeBasis, lattice_from_generators
+from .lattice import LatticeBasis, lattice_from_generators
 
 __all__ = [
     "HomogPoly",
@@ -84,16 +84,17 @@ def linear_product(lead: Tuple[int, int], factors: Sequence[Tuple[int, int]]) ->
     return HomogPoly(tuple(acc))
 
 
-def substitute_linear(p: HomogPoly, g: IntMatrix) -> HomogPoly:
-    """Apply the linear substitution x1 -> g11*y1 + g12*y2, x2 -> g21*y1 + g22*y2.
+def substitute_linear(p: HomogPoly, g: Sequence[Sequence[int]]) -> HomogPoly:
+    """Apply the substitution x1 -> g11*y1 + g12*y2, x2 -> g21*y1 + g22*y2,
+    for g given by its rows ((g11, g12), (g21, g22)).
 
     The result is homogeneous of the same degree in y1, y2 and is returned in
     the same coefficient convention.
     """
-    if g.rows != 2 or g.cols != 2:
+    if len(g) != 2 or any(len(row) != 2 for row in g):
         raise ValueError("substitution matrix must be 2x2")
     d = p.degree
-    row1, row2 = g.row(0), g.row(1)
+    row1, row2 = g
     # powers of the two substituted variables, degree 0..d each
     pow1 = [[1]]
     pow2 = [[1]]

@@ -282,7 +282,7 @@ def graded_ranks(p: Presentation) -> GradedRanks:
         lat = ideal_degree_lattice([p.gen1, p.gen2], d)
         ranks.append(d + 1 - lat.rank)
         if lat.rank:
-            diag = smith_normal_form(IntMatrix.from_rows(lat.basis, cols=d + 1))
+            diag = smith_normal_form(lat.basis)
             torsion.append(tuple(x for x in diag if x > 1))
         else:
             torsion.append(())
@@ -307,7 +307,7 @@ def kernel_lattice(cp: CharPair) -> LatticeBasis:
     """
     if not validate(cp):
         raise ValueError("characteristic pair fails the validity condition")
-    return kernel_basis(characteristic_matrix_grouped(cp))
+    return kernel_basis(characteristic_matrix_grouped(cp).to_rows())
 
 
 def _bott_vectors(length: int, bound: int) -> Iterable[Tuple[int, ...]]:

@@ -17,10 +17,6 @@ from qtoric.lattice import (
 )
 
 
-def mat(rows, cols=None):
-    return IntMatrix.from_rows(rows, cols=cols)
-
-
 small_matrices = st.integers(1, 5).flatmap(
     lambda r: st.integers(1, 5).flatmap(
         lambda c: st.lists(
@@ -95,14 +91,14 @@ class TestSmith:
         ],
     )
     def test_frozen_diagonals(self, rows, diag):
-        assert smith_normal_form(mat(rows)) == diag
+        assert smith_normal_form(rows) == diag
 
     @given(small_matrices)
     @settings(max_examples=60)
     def test_exact_diagonalization(self, rows):
         # the diagonal is pinned by the determinantal divisors: the product
         # of its first k entries is the gcd of the k x k minors
-        d = smith_normal_form(mat(rows))
+        d = smith_normal_form(rows)
         assert len(d) == min(len(rows), len(rows[0]))
         prefix = 1
         for x, dk in zip(d, determinantal_divisors(rows)):
@@ -112,8 +108,7 @@ class TestSmith:
     @given(small_matrices)
     @settings(max_examples=60)
     def test_divisibility_chain_and_oracle(self, rows):
-        m = mat(rows)
-        d = smith_normal_form(m)
+        d = smith_normal_form(rows)
         for x, y in zip(d, d[1:]):
             if x == 0:
                 assert y == 0
@@ -129,13 +124,11 @@ class TestKernel:
         # the 3x5 matrix with columns e1, e2, (-1,-1,-a), e3, (-b1,-b2,-1)
         # for a=(2), b=(1,0); its kernel is spanned by (1,1,1,2,0) and
         # (1,0,0,1,1), whose canonical form is frozen below.
-        m = mat(
-            [
-                [1, 0, -1, 0, -1],
-                [0, 1, -1, 0, 0],
-                [0, 0, -2, 1, -1],
-            ]
-        )
+        m = [
+            [1, 0, -1, 0, -1],
+            [0, 1, -1, 0, 0],
+            [0, 0, -2, 1, -1],
+        ]
         k = kernel_basis(m)
         assert k.basis == ((1, 0, 0, 1, 1), (0, 1, 1, 1, -1))
         assert k == lattice_from_generators(5, [(1, 1, 1, 2, 0), (1, 0, 0, 1, 1)])
@@ -143,21 +136,20 @@ class TestKernel:
         assert not k.contains((1, 0, 0, 0, 1))
 
     def test_injective_map_has_empty_kernel(self):
-        assert kernel_basis(mat([[int(i == j) for j in range(4)] for i in range(4)])).basis == ()
+        assert kernel_basis([[int(i == j) for j in range(4)] for i in range(4)]).basis == ()
 
     def test_rank_one_projection(self):
-        assert kernel_basis(mat([[1, 1]])).basis == ((1, -1),)
+        assert kernel_basis([[1, 1]]).basis == ((1, -1),)
 
     @given(small_matrices)
     @settings(max_examples=60)
     def test_kernel_annihilates_and_is_primitive(self, rows):
-        m = mat(rows)
-        k = kernel_basis(m)
+        k = kernel_basis(rows)
         for v in k.basis:
-            image = [sum(m.at(i, j) * v[j] for j in range(m.cols)) for i in range(m.rows)]
+            image = [sum(x * y for x, y in zip(row, v)) for row in rows]
             assert all(x == 0 for x in image)
         assert is_basis_extendable(k.basis)
-        assert k.rank == m.cols - Matrix(rows).rank()
+        assert k.rank == len(rows[0]) - Matrix(rows).rank()
 
 
 class TestLatticeEqual:
@@ -223,9 +215,15 @@ class TestExtendable:
 
 
 def test_matrix_shape_validation():
-    # the checked constructors; the raw constructors check nothing
-    with pytest.raises(ValueError, match="rows have unequal lengths"):
-        IntMatrix.from_rows([[1, 2], [3]])
+    # the checked constructors and the row-taking routines; the raw
+    # constructors check nothing
+    for check in (IntMatrix.from_rows, smith_normal_form, kernel_basis):
+        with pytest.raises(ValueError, match="rows have unequal lengths"):
+            check([[1, 2], [3]])
+    # no rows leave the kernel's ambient dimension unknown
+    with pytest.raises(ValueError, match="kernel needs at least one row"):
+        kernel_basis([])
+    assert smith_normal_form([]) == ()
     with pytest.raises(ValueError, match="cols does not match row length"):
         IntMatrix.from_rows([[1, 2]], cols=3)
     with pytest.raises(ValueError, match="empty matrix needs an explicit column count"):

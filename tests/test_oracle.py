@@ -59,7 +59,7 @@ class TestRingIsoSearch:
         # s-complementary presentations
         p = _presentation(2, 2, (2, 0), (1, 0))
         q = _presentation(2, 2, (2, 2), (1, 0))
-        g = IntMatrix.from_rows([[-1, 0], [2, 1]])
+        g = ((-1, 0), (2, 1))
         assert _ideals_match_through(p, q, g, dmax=3)
 
     def test_soundness_beyond_decision_degrees(self):
@@ -67,7 +67,7 @@ class TestRingIsoSearch:
         q = _presentation(3, 2, (2, 2), (1, 0, 0))
         verdict = ring_iso_search(p, q, bound=3)
         assert verdict.found
-        assert _ideals_match_through(p, q, verdict.matrix, dmax=p.n + p.m)
+        assert _ideals_match_through(p, q, verdict.matrix.to_rows(), dmax=p.n + p.m)
 
     def test_segment_families_not_isomorphic(self):
         p = _presentation(3, 1, (1,), (2, 0, 0))
@@ -100,7 +100,7 @@ class TestRingIsoSearch:
             assert _candidate_matrices(bound) is first
             assert _candidate_matrices.__wrapped__(bound) == first
         candidates = _candidate_matrices(3)
-        assert candidates[0] == _identity(2)
+        assert candidates[0] == ((1, 0), (0, 1))
         assert len(candidates) == len(set(candidates))
 
     def test_json_round_shapes(self):
@@ -108,6 +108,13 @@ class TestRingIsoSearch:
         assert found.to_json_dict() == {"found": True, "matrix": [[1, 0], [0, 1]]}
         missed = IsoVerdict(bound=3)
         assert missed.to_json_dict() == {"found": False, "bound": 3}
+        # a verdict the search found hands out a matrix value, whose rows
+        # are the JSON matrix
+        p = _presentation(3, 2, (2, 0), (1, 0, 0))
+        q = _presentation(3, 2, (2, 2), (1, 0, 0))
+        searched = ring_iso_search(p, q, bound=3)
+        assert isinstance(searched.matrix, IntMatrix)
+        assert [list(r) for r in searched.matrix.to_rows()] == searched.to_json_dict()["matrix"]
 
 
 # every valid pair with n, m <= 3 and entries in [-3, 3], sorted entries
@@ -127,8 +134,8 @@ class TestRingSymmetries:
     a permutation of a or of b permutes the linear factors and leaves the
     presentation as it was."""
 
-    FLIP = IntMatrix.from_rows([[1, 0], [0, -1]])
-    SWAP = IntMatrix.from_rows([[0, 1], [1, 0]])
+    FLIP = ((1, 0), (0, -1))
+    SWAP = ((0, 1), (1, 0))
 
     def test_sign_flip_and_swap_found(self):
         for cp in _SMALL_PAIRS:
@@ -140,7 +147,7 @@ class TestRingSymmetries:
                 assert _ideals_match_through(p, q, g, dmax), (cp, other)
                 verdict = ring_iso_search(p, q, bound=1)
                 assert verdict.found, (cp, other)
-                assert _ideals_match_through(p, q, verdict.matrix, dmax), (cp, other)
+                assert _ideals_match_through(p, q, verdict.matrix.to_rows(), dmax), (cp, other)
 
     @given(st.sampled_from(_SMALL_PAIRS), st.randoms(use_true_random=False))
     def test_permutation_gives_identical_presentation(self, cp, rng):
@@ -233,6 +240,8 @@ class TestBuiltinWitness:
         u, u2, w = builtin_witness("fold-r", n=3, m=2, s=1, r=1)
         assert witness_check(u, u2, w)
         assert w.t == IntMatrix.from_rows([[1, 1], [0, -1]])
+        # callers read every part of a certificate through to_rows()
+        assert all(isinstance(x, IntMatrix) for x in (u, u2, w.s, w.t))
 
     def test_fold_s_documented_case(self):
         u, u2, w = builtin_witness("fold-s", n=2, m=3, s=1, r=1)
@@ -282,7 +291,7 @@ def test_search_agrees_with_direct_check(n, m, g11, g12):
     verdict = ring_iso_search(p, q, bound=1)
     assert verdict.found
     dmax = max(n, m) + 1
-    assert _ideals_match_through(p, q, verdict.matrix, dmax)
+    assert _ideals_match_through(p, q, verdict.matrix.to_rows(), dmax)
 
 
 def _global_names(code):
