@@ -8,12 +8,15 @@ The decision layer sits on three mechanisms:
   prod(1 + u_i x) = (1 + eps*w*x) * prod(1 + eps*(u'_i + w)*x) modulo
   x^(ell+1).  ``tilde_canonical`` is its complete invariant: a canonical
   representative of the orbit, so equal invariants mean equivalent vectors
-  and vice versa.
+  and vice versa.  The truncated series are expanded here and nowhere else
+  in the package.
 * the (s, r) fold: a non-Bott normalized pair is determined by the count s of
   value-2 entries and the count r of value-1 entries; a class and its fold
   (s -> len+1-s, r -> len+1-r) are homeomorphic, everything else with the
   same orientation is not, and for distinct simplex dimensions the mirrored
-  orientation is a genuinely different class.
+  orientation is a genuinely different class.  Each fold comes with an
+  equivariance certificate, which ``oracle.builtin_witness`` rebuilds and
+  ``oracle.witness_check`` checks whole.
 * parity collapse over a segment factor (m = 1): only the parity of the
   number of nonzero entries of b survives, and for even n everything
   collapses onto the corresponding projective bundle; the two odd-parity
@@ -41,9 +44,8 @@ twisting vector, and labels each kept form once.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from .polyring import _trunc_linear_product
 from .quasitoric import CharPair, admissible_normal_forms, normalize
 
 __all__ = [
@@ -72,6 +74,23 @@ _NONBOTT_FAMILIES = frozenset({"nonbott", "connsum-plus", "special-m21"})
 
 # Bott label families on opposite sides (connsum-minus is the a = (1) bundle)
 _CROSS_BASE = ({"bott-base-m", "bott-base-n"}, {"bott-base-m", "connsum-minus"})
+
+
+def _trunc_linear_product(
+    factors: Iterable[int], ell: int, lead: int = 0
+) -> Tuple[int, ...]:
+    """Coefficients of (1 + lead*x) * prod_c (1 + c*x) over ``factors`` in
+    Z[x]/x^(ell+1), for ell >= 1."""
+    coeffs = [1, lead] + [0] * (ell - 1)
+    # after j nonzero factors the coefficients above x^j are still 0
+    top = 1 if lead else 0
+    for c in factors:
+        if c:
+            if top < ell:
+                top += 1
+            for i in range(top, 0, -1):
+                coeffs[i] += c * coeffs[i - 1]
+    return tuple(coeffs)
 
 
 def tilde_canonical(u: Tuple[int, ...], ell: int) -> Tuple[int, ...]:

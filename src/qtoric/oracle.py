@@ -13,14 +13,15 @@ Two oracles, both exact:
   A negative answer is only "within bound":
   the closed-form classifier stays authoritative and the search acts as a
   falsifier.
-* ``witness_check``: verifies equivariance certificates.  A homeomorphism
-  candidate given by a signed permutation of the moment-angle coordinates
-  intertwines the two free torus actions exactly when S * U = U' * T, where
-  U and U' hold the weight columns of the two subtorus inclusions and T
-  reparametrizes the acting torus on exponents.  ``builtin_witness``
-  reconstructs the three families of certificates behind the classifier's
-  equivalences (repeat-fill, fold-r, fold-s) so the identity can be rechecked
-  by plain matrix multiplication.
+* ``witness_check``: verifies equivariance certificates, and is the one
+  place a certificate is checked.  A homeomorphism candidate given by a
+  signed permutation S of the moment-angle coordinates intertwines the two
+  free torus actions exactly when S * U = U' * T, where U and U' hold the
+  weight columns of the two subtorus inclusions and T, with |det T| = 1,
+  reparametrizes the acting torus on exponents; the check tests all three
+  conditions.  ``builtin_witness`` reconstructs the three families of
+  certificates behind the classifier's equivalences (repeat-fill, fold-r,
+  fold-s) so the identity can be rechecked by plain matrix multiplication.
 
 The witness formalism covers monomial maps only.  Homeomorphisms that mix
 coordinates instead of permuting them cannot be expressed as a
@@ -81,38 +82,17 @@ class IsoVerdict(NamedTuple):
         return {"found": False, "bound": self.bound}
 
 
-class _WitnessFields(NamedTuple):
-    s: IntMatrix
-    t: IntMatrix
-
-
-class MonomialWitness(_WitnessFields):
+class MonomialWitness(NamedTuple):
     """An equivariance certificate: a signed permutation s of the
     moment-angle coordinates together with a 2x2 unimodular exponent matrix
     t reparametrizing the acting torus.
 
-    Raises:
-        ValueError: when s is not a signed permutation or |det t| != 1.
+    The raw constructor checks nothing: ``witness_check`` checks the whole
+    certificate, both of those conditions and the identity it certifies.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, s: IntMatrix, t: IntMatrix) -> "MonomialWitness":
-        if s.rows != s.cols:
-            raise ValueError("signed permutation must be square")
-        rows = s.to_rows()
-        for row in rows:
-            nonzero = [x for x in row if x]
-            if len(nonzero) != 1 or nonzero[0] not in (1, -1):
-                raise ValueError("each row needs exactly one entry of +-1")
-        for col in zip(*rows):
-            if sum(1 for x in col if x) != 1:
-                raise ValueError("each column needs exactly one nonzero entry")
-        if t.rows != 2 or t.cols != 2:
-            raise ValueError("torus reparametrization must be 2x2")
-        if determinant(t) not in (1, -1):
-            raise ValueError("torus reparametrization must be unimodular")
-        return super().__new__(cls, s, t)
+    s: IntMatrix
+    t: IntMatrix
 
     def to_json_dict(self) -> Dict[str, object]:
         return {
@@ -201,19 +181,29 @@ def _product(x: IntMatrix, y: IntMatrix) -> List[List[int]]:
 
 
 def witness_check(u: IntMatrix, u_prime: IntMatrix, witness: MonomialWitness) -> bool:
-    """True iff s*u = u'*t: the signed permutation intertwines the two
-    subtorus actions through the reparametrization t.
+    """True iff the certificate holds whole: s is a signed permutation,
+    |det t| = 1, and s*u = u'*t, so that s intertwines the two subtorus
+    actions through the reparametrization t.
 
     Raises:
-        ValueError: on dimension mismatch.
+        ValueError: on dimension mismatch: weight matrices without two
+            columns or of unequal heights, s not square of their height, or
+            t not 2x2.
     """
     if u.cols != 2 or u_prime.cols != 2:
         raise ValueError("weight matrices must have two columns")
     if u.rows != u_prime.rows:
         raise ValueError("weight matrices must have equal height")
-    if witness.s.rows != u.rows:
-        raise ValueError("signed permutation size must match coordinate count")
-    return _product(witness.s, u) == _product(u_prime, witness.t)
+    s, t = witness
+    if s.rows != u.rows or s.cols != u.rows:
+        raise ValueError("signed permutation must be square of the coordinate count")
+    if t.rows != 2 or t.cols != 2:
+        raise ValueError("torus reparametrization must be 2x2")
+    rows = s.to_rows()
+    # an integer row or column of absolute sum 1 holds one entry +-1
+    if any(sum(map(abs, line)) != 1 for line in rows + tuple(zip(*rows))):
+        return False
+    return determinant(t) in (1, -1) and _product(s, u) == _product(u_prime, t)
 
 
 def _signed_permutation(size: int, mapping: Dict[int, Tuple[int, int]]) -> IntMatrix:

@@ -1,5 +1,4 @@
-"""Homogeneous bivariate integer polynomials and truncated univariate
-products.
+"""Homogeneous bivariate integer polynomials.
 
 A homogeneous polynomial of degree d in x1, x2 is stored as the vector of its
 d+1 coefficients indexed by the x2-exponent: index i holds the coefficient of
@@ -11,14 +10,14 @@ The multiplication kernels work on plain coefficient lists; each public
 function builds its :class:`HomogPoly` once, from the finished list, through
 the raw constructor: the degree is read off the list's length.
 
-Truncated products of linear factors prod(1 + c_i x) are expanded in
-Z[x]/x^(ell+1) as tuples of exactly ell+1 coefficients, index i holding the
-x^i coefficient.
+The truncated univariate series that separate the Bott families are not
+kept here: ``classify`` expands them, next to ``tilde_canonical``, their
+one caller.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .lattice import LatticeBasis, lattice_from_generators
 
@@ -26,7 +25,6 @@ __all__ = [
     "HomogPoly",
     "linear_product",
     "substitute_linear",
-    "trunc_product_identity",
     "ideal_degree_lattice",
 ]
 
@@ -108,46 +106,6 @@ def substitute_linear(p: HomogPoly, g: Sequence[Sequence[int]]) -> HomogPoly:
         for k, c in enumerate(_convolve(pow1[d - i], pow2[i])):
             out[k] += a * c
     return HomogPoly(tuple(out))
-
-
-def _trunc_linear_product(
-    factors: Iterable[int], ell: int, lead: int = 0
-) -> Tuple[int, ...]:
-    """Coefficients of (1 + lead*x) * prod_c (1 + c*x) over ``factors`` in
-    Z[x]/x^(ell+1), for ell >= 1."""
-    coeffs = [1, lead] + [0] * (ell - 1)
-    # after j nonzero factors the coefficients above x^j are still 0
-    top = 1 if lead else 0
-    for c in factors:
-        if c:
-            if top < ell:
-                top += 1
-            for i in range(top, 0, -1):
-                coeffs[i] += c * coeffs[i - 1]
-    return tuple(coeffs)
-
-
-def trunc_product_identity(
-    u: Sequence[int], u_prime: Sequence[int], eps: int, w: int, ell: int
-) -> bool:
-    """Check prod_i (1 + u_i x) = (1 + eps*w*x) * prod_i (1 + eps*(u'_i + w)*x)
-    in Z[x]/x^(ell+1).
-
-    Args:
-        u, u_prime: integer vectors of one common length k >= 1.
-        eps: +1 or -1.
-        w: the integer shift.
-        ell: truncation order, >= 1.
-    """
-    if len(u) != len(u_prime) or len(u) < 1:
-        raise ValueError("vectors must share a positive length")
-    if eps not in (1, -1):
-        raise ValueError("eps must be +1 or -1")
-    if ell < 1:
-        raise ValueError("truncation order must be at least 1")
-    lhs = _trunc_linear_product([int(ui) for ui in u], ell)
-    rhs = _trunc_linear_product([eps * (int(vi) + w) for vi in u_prime], ell, eps * w)
-    return lhs == rhs
 
 
 def ideal_degree_lattice(gens: Sequence[HomogPoly], d: int) -> LatticeBasis:

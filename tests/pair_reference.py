@@ -1,13 +1,13 @@
 """References shared by the tests: the filtered listing that
 ``admissible_normal_forms`` must reproduce, the two-branch decision of the
 truncated-product equivalence that ``tilde_canonical`` must agree with, and
-a two-product ``tilde_canonical`` with its own full-length kernel, whose
-series the package's must equal."""
+a two-product ``tilde_canonical``, whose series the package's must equal.
+The last two run on this module's own full-length series kernel, so they
+share no code with the package's."""
 
 import itertools
-from typing import Tuple
+from typing import Sequence, Tuple
 
-from qtoric.polyring import trunc_product_identity
 from qtoric.quasitoric import CharPair, validate
 
 
@@ -23,6 +23,40 @@ def filtered_admissible_pairs(n, m, bound):
             cp = CharPair(n, m, a, b)
             if validate(cp):
                 yield cp
+
+
+def _trunc_linear_product(factors, ell):
+    """Coefficients of prod_c (1 + c*x) over ``factors`` in Z[x]/x^(ell+1),
+    every pass running over all ell coefficients."""
+    coeffs = [1] + [0] * ell
+    for c in factors:
+        if c:
+            for i in range(ell, 0, -1):
+                coeffs[i] += c * coeffs[i - 1]
+    return tuple(coeffs)
+
+
+def trunc_product_identity(
+    u: Sequence[int], u_prime: Sequence[int], eps: int, w: int, ell: int
+) -> bool:
+    """Check prod_i (1 + u_i x) = (1 + eps*w*x) * prod_i (1 + eps*(u'_i + w)*x)
+    in Z[x]/x^(ell+1).
+
+    Args:
+        u, u_prime: integer vectors of one common length k >= 1.
+        eps: +1 or -1.
+        w: the integer shift.
+        ell: truncation order, >= 1.
+    """
+    if len(u) != len(u_prime) or len(u) < 1:
+        raise ValueError("vectors must share a positive length")
+    if eps not in (1, -1):
+        raise ValueError("eps must be +1 or -1")
+    if ell < 1:
+        raise ValueError("truncation order must be at least 1")
+    lhs = _trunc_linear_product([int(ui) for ui in u], ell)
+    rhs = _trunc_linear_product([eps * w] + [eps * (int(vi) + w) for vi in u_prime], ell)
+    return lhs == rhs
 
 
 def tilde_equiv(u: Tuple[int, ...], u_prime: Tuple[int, ...], ell: int) -> bool:
@@ -48,17 +82,6 @@ def tilde_equiv(u: Tuple[int, ...], u_prime: Tuple[int, ...], ell: int) -> bool:
             if trunc_product_identity(u, u_prime, eps, w, ell):
                 return True
     return False
-
-
-def _trunc_linear_product(factors, ell):
-    """Coefficients of prod_c (1 + c*x) over ``factors`` in Z[x]/x^(ell+1),
-    every pass running over all ell coefficients."""
-    coeffs = [1] + [0] * ell
-    for c in factors:
-        if c:
-            for i in range(ell, 0, -1):
-                coeffs[i] += c * coeffs[i - 1]
-    return tuple(coeffs)
 
 
 def tilde_canonical(u: Tuple[int, ...], ell: int) -> Tuple[int, ...]:

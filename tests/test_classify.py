@@ -5,6 +5,7 @@ import itertools
 import json
 
 import pytest
+import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from qtoric.classify import (
@@ -19,7 +20,7 @@ from qtoric.classify import (
 )
 from qtoric.quasitoric import CharPair, validate
 
-from pair_reference import filtered_admissible_pairs, tilde_equiv
+from pair_reference import filtered_admissible_pairs, tilde_equiv, trunc_product_identity
 from pair_reference import tilde_canonical as reference_canonical
 
 
@@ -48,6 +49,51 @@ def valid_pairs(draw, max_dim=4, max_entry=3):
         a = tuple(draw(st.sampled_from([0, alpha])) for _ in range(m))
         b = tuple(draw(st.sampled_from([0, beta])) for _ in range(n))
     return CharPair(n, m, a, b)
+
+
+X = sp.Symbol("x")
+
+
+class TestTruncIdentity:
+    def test_identical_sides(self):
+        for ell in (1, 2, 5):
+            assert trunc_product_identity((7,), (7,), 1, 0, ell)
+
+    def test_mod_two_collapse(self):
+        # 1 + x and (1 - x)(1 + 2x) agree below the x^2 term
+        assert trunc_product_identity((1,), (3,), 1, -1, 1)
+
+    def test_failure_at_quadratic_term(self):
+        assert not trunc_product_identity((4,), (2,), 1, 1, 2)
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            trunc_product_identity((1,), (1, 2), 1, 0, 2)
+        with pytest.raises(ValueError):
+            trunc_product_identity((1,), (1,), 2, 0, 2)
+        with pytest.raises(ValueError):
+            trunc_product_identity((1,), (1,), 1, 0, 0)
+
+    @given(
+        st.lists(st.integers(-4, 4), min_size=1, max_size=4),
+        st.lists(st.integers(-4, 4), min_size=1, max_size=4),
+        st.sampled_from([1, -1]),
+        st.integers(-3, 3),
+        st.integers(1, 5),
+    )
+    @settings(max_examples=80)
+    def test_matches_sympy_series(self, u, v, eps, w, ell):
+        if len(v) != len(u):
+            v = (v + u)[: len(u)]
+        lhs = sp.prod([1 + ui * X for ui in u])
+        rhs = (1 + eps * w * X) * sp.prod([1 + eps * (vi + w) * X for vi in v])
+        diff = sp.expand(lhs - rhs).as_poly(X).all_coeffs()[::-1]
+        expected = all(c == 0 for c in diff[: ell + 1])
+        assert trunc_product_identity(u, v, eps, w, ell) is expected
+
+    @given(st.lists(st.integers(-5, 5), min_size=1, max_size=5), st.integers(1, 4))
+    def test_reflexivity_witness(self, u, ell):
+        assert trunc_product_identity(u, u, 1, 0, ell)
 
 
 class TestTildeEquiv:

@@ -4,6 +4,7 @@ import ast
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from datetime import timedelta
@@ -14,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtoric import cli
-from qtoric.oracle import builtin_witness, ring_iso_search
+from qtoric.lattice import IntMatrix
+from qtoric.oracle import MonomialWitness, builtin_witness, ring_iso_search
 from qtoric.quasitoric import CharPair, cohomology_presentation
 
 
@@ -521,6 +523,29 @@ class TestConsistencyFailure:
         )
 
     @pytest.mark.parametrize("fmt", ["json", "tsv"])
+    def test_broken_builtin_certificate(self, monkeypatch, fmt):
+        # a certificate the program builds itself is not user input: a
+        # broken one is an internal failure, found by witness_check
+        def broken_witness(*args, **kwargs):
+            u, u_prime, (s, t) = builtin_witness(*args, **kwargs)
+            rows = s.to_rows()
+            doubled = IntMatrix.from_rows([[2 * x for x in rows[0]]] + list(rows[1:]))
+            return u, u_prime, MonomialWitness(doubled, t)
+
+        monkeypatch.setattr(cli, "builtin_witness", broken_witness)
+        argv = ["witness-check", "--family", "fold-r", "--n", "3", "--m", "2", "--s", "1", "--r", "1"]
+        code, text = _run_on_one_stream(argv + ["--format", fmt], "", monkeypatch)
+        assert code == 4
+        witness = broken_witness("fold-r", n=3, m=2, s=1, r=1)[2]
+        if fmt == "json":
+            report = _json_text({"family": "fold-r", "ok": False, "witness": witness.to_json_dict()})
+        else:
+            report = "family\tok\nfold-r\tFalse\n"
+        assert text == report + (
+            "internal consistency failure: built-in certificate failed its own check\n"
+        )
+
+    @pytest.mark.parametrize("fmt", ["json", "tsv"])
     def test_oracle_iso_found_but_separated(self, monkeypatch, fmt):
         monkeypatch.setattr(cli, "homeomorphic", lambda cp1, cp2: (False, "forced"))
         code, text = _run_on_one_stream(
@@ -658,18 +683,23 @@ def test_golden_output(case):
     )
 
 
-def test_module_entry_point(tmp_path):
+def test_module_entry_point():
+    # the child process does not inherit the path that pytest's settings
+    # give this one, so it gets the package's source directory explicitly
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     result = subprocess.run(
         [sys.executable, "-m", "qtoric", "count", "--n", "3", "--m", "2"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["count"] == 4
 
 
 # value types whose raw constructor checks nothing
-_UNCHECKED_TYPES = {"CharPair", "IntMatrix", "HomogPoly", "LatticeBasis"}
+_UNCHECKED_TYPES = {"CharPair", "IntMatrix", "HomogPoly", "LatticeBasis", "MonomialWitness"}
 
 
 def test_cli_builds_values_only_through_checked_constructors():

@@ -158,37 +158,28 @@ class TestRingSymmetries:
         assert cohomology_presentation(permuted) == cohomology_presentation(cp)
 
 
+def _certifies(s_rows, t_rows):
+    """``witness_check`` on a certificate whose identity s*u = u'*t holds by
+    construction (u = t, u' = s), so only its conditions on s and t decide."""
+    s, t = IntMatrix.from_rows(s_rows), IntMatrix.from_rows(t_rows)
+    return witness_check(t, s, MonomialWitness(s, t))
+
+
 class TestMonomialWitness:
     def test_rejects_non_permutation_rows(self):
-        with pytest.raises(ValueError):
-            MonomialWitness(
-                IntMatrix.from_rows([[1, 1], [0, 1]]), _identity(2)
-            )
+        assert _certifies([[1, 1], [0, 1]], [[1, 0], [0, 1]]) is False
 
     def test_rejects_duplicate_columns(self):
-        with pytest.raises(ValueError):
-            MonomialWitness(
-                IntMatrix.from_rows([[1, 0], [1, 0]]), _identity(2)
-            )
+        assert _certifies([[1, 0], [1, 0]], [[1, 0], [0, 1]]) is False
 
     def test_rejects_entry_magnitude(self):
-        with pytest.raises(ValueError):
-            MonomialWitness(
-                IntMatrix.from_rows([[2, 0], [0, 1]]), _identity(2)
-            )
+        assert _certifies([[2, 0], [0, 1]], [[1, 0], [0, 1]]) is False
 
     def test_rejects_singular_reparametrization(self):
-        with pytest.raises(ValueError):
-            MonomialWitness(
-                _identity(2), IntMatrix.from_rows([[1, 1], [1, 1]])
-            )
+        assert _certifies([[1, 0], [0, 1]], [[1, 1], [1, 1]]) is False
 
     def test_conjugation_allowed(self):
-        w = MonomialWitness(
-            IntMatrix.from_rows([[0, -1], [1, 0]]),
-            IntMatrix.from_rows([[1, 1], [0, -1]]),
-        )
-        assert w.s.at(0, 1) == -1
+        assert _certifies([[0, -1], [1, 0]], [[1, 1], [0, -1]]) is True
 
 
 class TestWitnessCheck:
@@ -205,6 +196,14 @@ class TestWitnessCheck:
             witness_check(u, v, w)
         with pytest.raises(ValueError):
             witness_check(v, v, w)
+        with pytest.raises(ValueError):
+            witness_check(u, u, MonomialWitness(_identity(5), _identity(3)))
+
+    def test_non_square_signed_permutation(self):
+        u = weight_matrix(CharPair(2, 1, (1,), (2, 0)))
+        s = IntMatrix.from_rows([row[:4] for row in _identity(5).to_rows()])
+        with pytest.raises(ValueError):
+            witness_check(u, u, MonomialWitness(s, _identity(2)))
 
     def test_wrong_witness_fails(self):
         u = weight_matrix(CharPair(2, 1, (1,), (2, 0)))

@@ -9,10 +9,9 @@ from qtoric.polyring import (
     ideal_degree_lattice,
     linear_product,
     substitute_linear,
-    trunc_product_identity,
 )
 
-X1, X2, X = sp.symbols("x1 x2 x")
+X1, X2 = sp.symbols("x1 x2")
 
 
 def as_sympy(p: HomogPoly):
@@ -97,48 +96,6 @@ class TestSubstitute:
         q = substitute_linear(p, g)
         mine = sum(c * y1 ** (q.degree - i) * y2**i for i, c in enumerate(q.coeffs))
         assert sp.expand(direct - mine) == 0
-
-
-class TestTruncIdentity:
-    def test_identical_sides(self):
-        for ell in (1, 2, 5):
-            assert trunc_product_identity((7,), (7,), 1, 0, ell)
-
-    def test_mod_two_collapse(self):
-        # 1 + x and (1 - x)(1 + 2x) agree below the x^2 term
-        assert trunc_product_identity((1,), (3,), 1, -1, 1)
-
-    def test_failure_at_quadratic_term(self):
-        assert not trunc_product_identity((4,), (2,), 1, 1, 2)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            trunc_product_identity((1,), (1, 2), 1, 0, 2)
-        with pytest.raises(ValueError):
-            trunc_product_identity((1,), (1,), 2, 0, 2)
-        with pytest.raises(ValueError):
-            trunc_product_identity((1,), (1,), 1, 0, 0)
-
-    @given(
-        st.lists(st.integers(-4, 4), min_size=1, max_size=4),
-        st.lists(st.integers(-4, 4), min_size=1, max_size=4),
-        st.sampled_from([1, -1]),
-        st.integers(-3, 3),
-        st.integers(1, 5),
-    )
-    @settings(max_examples=80)
-    def test_matches_sympy_series(self, u, v, eps, w, ell):
-        if len(v) != len(u):
-            v = (v + u)[: len(u)]
-        lhs = sp.prod([1 + ui * X for ui in u])
-        rhs = (1 + eps * w * X) * sp.prod([1 + eps * (vi + w) * X for vi in v])
-        diff = sp.expand(lhs - rhs).as_poly(X).all_coeffs()[::-1]
-        expected = all(c == 0 for c in diff[: ell + 1])
-        assert trunc_product_identity(u, v, eps, w, ell) is expected
-
-    @given(st.lists(st.integers(-5, 5), min_size=1, max_size=5), st.integers(1, 4))
-    def test_reflexivity_witness(self, u, ell):
-        assert trunc_product_identity(u, u, 1, 0, ell)
 
 
 class TestIdealDegreeLattice:
