@@ -136,9 +136,9 @@ def ring_iso_search(p: Presentation, q: Presentation, bound: int = 3) -> IsoVerd
     the fixed total order is returned, so the result is deterministic.
 
     Raises:
-        ValueError: when the generator degree multisets disagree (no graded
-            isomorphism can exist, and degreewise comparison would be
-            meaningless).
+        ValueError: when ``bound`` < 0 ("bound must be nonnegative"), or when
+            the generator degree multisets disagree (no graded isomorphism
+            can exist, and degreewise comparison would be meaningless).
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")

@@ -6,9 +6,12 @@ x1^(d-i) * x2^i.  This convention is fixed once here and used everywhere; the
 two ring generators produced elsewhere are symmetric in the variables and
 would otherwise be easy to transpose.
 
-The multiplication kernels work on plain coefficient lists; each public
-function builds its :class:`HomogPoly` once, from the finished list, through
-the raw constructor: the degree is read off the list's length.
+Both public kernels run on one step, multiplying a coefficient list by a
+linear form c*x1 + d*x2: index i of the product is c*acc[i] + d*acc[i-1].
+``linear_product`` takes that step once per factor; ``substitute_linear``
+takes it twice per term, by Horner's rule over the x2-exponent.  Each builds
+its :class:`HomogPoly` once, from the finished list, through the raw
+constructor: the degree is read off the list's length.
 
 The truncated univariate series that separate the Bott families are not
 kept here: ``classify`` expands them, next to ``tilde_canonical``, their
@@ -17,7 +20,7 @@ one caller.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from .lattice import LatticeBasis, lattice_from_generators
 
@@ -54,18 +57,6 @@ class HomogPoly(NamedTuple):
         return cls(c)
 
 
-def _convolve(p: Sequence[int], q: Sequence[int]) -> List[int]:
-    """Coefficients of the product of two coefficient sequences."""
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            if b:
-                out[i + j] += a * b
-    return out
-
-
 def linear_product(lead: Tuple[int, int], factors: Sequence[Tuple[int, int]]) -> HomogPoly:
     """Expand (c*x1 + d*x2) * prod_i (c_i*x1 + d_i*x2).
 
@@ -78,7 +69,8 @@ def linear_product(lead: Tuple[int, int], factors: Sequence[Tuple[int, int]]) ->
     """
     acc = [int(lead[0]), int(lead[1])]
     for c, d in factors:
-        acc = _convolve(acc, (int(c), int(d)))
+        c, d = int(c), int(d)
+        acc = [x * c + y * d for x, y in zip(acc + [0], [0] + acc)]
     return HomogPoly(tuple(acc))
 
 
@@ -87,25 +79,19 @@ def substitute_linear(p: HomogPoly, g: Sequence[Sequence[int]]) -> HomogPoly:
     for g given by its rows ((g11, g12), (g21, g22)).
 
     The result is homogeneous of the same degree in y1, y2 and is returned in
-    the same coefficient convention.
+    the same coefficient convention.  By Horner's rule, the image of the
+    terms up to x2-exponent i is the image up to i-1 times L1 = g11*y1 +
+    g12*y2, plus coeffs[i] * L2^i, with L2^i carried one step at a time.
     """
     if len(g) != 2 or any(len(row) != 2 for row in g):
         raise ValueError("substitution matrix must be 2x2")
-    d = p.degree
-    row1, row2 = g
-    # powers of the two substituted variables, degree 0..d each
-    pow1 = [[1]]
-    pow2 = [[1]]
-    for _ in range(d):
-        pow1.append(_convolve(pow1[-1], row1))
-        pow2.append(_convolve(pow2[-1], row2))
-    out = [0] * (d + 1)
-    for i, a in enumerate(p.coeffs):
-        if a == 0:
-            continue
-        for k, c in enumerate(_convolve(pow1[d - i], pow2[i])):
-            out[k] += a * c
-    return HomogPoly(tuple(out))
+    (g11, g12), (g21, g22) = g
+    acc = [p.coeffs[0]]
+    power = [1]
+    for a in p.coeffs[1:]:
+        power = [x * g21 + y * g22 for x, y in zip(power + [0], [0] + power)]
+        acc = [x * g11 + y * g12 + a * z for x, y, z in zip(acc + [0], [0] + acc, power)]
+    return HomogPoly(tuple(acc))
 
 
 def ideal_degree_lattice(gens: Sequence[HomogPoly], d: int) -> LatticeBasis:

@@ -1,7 +1,9 @@
 """Tests for the brute-force isomorphism search and witness checking."""
 
 import ast
+import hashlib
 import itertools
+import json
 import types
 from pathlib import Path
 
@@ -89,6 +91,11 @@ class TestRingIsoSearch:
         with pytest.raises(ValueError):
             ring_iso_search(p, q)
 
+    def test_negative_bound_rejected(self):
+        p = _presentation(1, 1, (0,), (0,))
+        with pytest.raises(ValueError, match="bound must be nonnegative"):
+            ring_iso_search(p, p, bound=-1)
+
     def test_bound_zero_finds_nothing(self):
         p = _presentation(1, 1, (0,), (0,))
         verdict = ring_iso_search(p, p, bound=0)
@@ -115,6 +122,38 @@ class TestRingIsoSearch:
         searched = ring_iso_search(p, q, bound=3)
         assert isinstance(searched.matrix, IntMatrix)
         assert [list(r) for r in searched.matrix.to_rows()] == searched.to_json_dict()["matrix"]
+
+    def test_verdicts_pinned(self):
+        # every ordered pair of equal generator degrees among the distinct
+        # presentations with n, m <= 2 and entries in [-2, 2]: a digest of
+        # each verdict and its witness pins the candidate order and the
+        # substitution kernel's exact results
+        presentations = sorted(
+            {
+                cohomology_presentation(cp)
+                for n, m in itertools.product((1, 2), repeat=2)
+                for a in itertools.product(range(-2, 3), repeat=m)
+                for b in itertools.product(range(-2, 3), repeat=n)
+                for cp in [CharPair(n, m, a, b)]
+                if quasitoric.validate(cp)
+            }
+        )
+        assert len(presentations) == 112
+        doc = [
+            [
+                [g.coeffs for g in p.gens],
+                [g.coeffs for g in q.gens],
+                ring_iso_search(p, q, bound=2).to_json_dict(),
+            ]
+            for p in presentations
+            for q in presentations
+            if (p.gen1.degree, p.gen2.degree) == (q.gen1.degree, q.gen2.degree)
+        ]
+        assert (len(doc), sum(v["found"] for _, _, v in doc)) == (3652, 892)
+        digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+        assert digest == (
+            "d5538db916a33ca25c10322b1c6990bb5473afa73947674cdaa7315d0c834b99"
+        )
 
 
 # every valid pair with n, m <= 3 and entries in [-3, 3], sorted entries
