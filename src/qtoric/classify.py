@@ -35,18 +35,17 @@ A label depends on the normal form alone: ``canonical_class`` is
 ``CharPair``: ``normalize`` settles facet relabeling, the global sign and
 the factor swap, square base included, and the pair's ``orientation`` names
 the side of its value-2 entries, so ``_label`` reads each normal form as it
-stands and handles no mirrors.  So ``enumerate_classes`` reads the normal
-forms that ``quasitoric.admissible_normal_forms`` lists directly, without
-checking or normalizing them again.  It keeps the smallest form per class
-key in one dict, a Bott form keyed with ``_bott_key`` straight from its
-twisting vector, and labels each kept form once.
+stands and handles no mirrors.  So ``enumerate_classes`` builds normal
+forms without checking or normalizing them again: the smallest twist
+vector of each side per ``tilde_canonical`` series, filed under its
+``_bott_key``, and the run forms with folded counts, each labelled once.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .quasitoric import CharPair, admissible_normal_forms, normalize
+from .quasitoric import CharPair, _bott_vectors, _check_grid, _run_forms, normalize
 
 __all__ = [
     "HomeoClass",
@@ -76,20 +75,21 @@ _NONBOTT_FAMILIES = frozenset({"nonbott", "connsum-plus", "special-m21"})
 _CROSS_BASE = ({"bott-base-m", "bott-base-n"}, {"bott-base-m", "connsum-minus"})
 
 
-def _trunc_linear_product(
-    factors: Iterable[int], ell: int, lead: int = 0
-) -> Tuple[int, ...]:
-    """Coefficients of (1 + lead*x) * prod_c (1 + c*x) over ``factors`` in
+def _trunc_shifted_product(u: Tuple[int, ...], ell: int, w: int, sign: int) -> Tuple[int, ...]:
+    """Coefficients of (1 + w*x) * prod_i (1 + (w + sign*u_i)*x) in
     Z[x]/x^(ell+1), for ell >= 1."""
-    coeffs = [1, lead] + [0] * (ell - 1)
+    coeffs = [1, w] + [0] * (ell - 1)
     # after j nonzero factors the coefficients above x^j are still 0
-    top = 1 if lead else 0
-    for c in factors:
+    top = 1 if w else 0
+    for x in u:
+        c = w + sign * x
         if c:
             if top < ell:
                 top += 1
-            for i in range(top, 0, -1):
+            i = top
+            while i:  # cheaper than a range for these few steps
                 coeffs[i] += c * coeffs[i - 1]
+                i -= 1
     return tuple(coeffs)
 
 
@@ -107,7 +107,8 @@ def tilde_canonical(u: Tuple[int, ...], ell: int) -> Tuple[int, ...]:
     shift w = -floor(sum(v) / (k+1)) puts it in [0, k]; the smaller of the
     two resulting coefficient tuples is the orbit's representative.  Those
     x-coefficients are sum(u) mod (k+1) and -sum(u) mod (k+1), so a flip's
-    series is expanded only when its x-coefficient is not the larger one.
+    series is expanded (``_trunc_shifted_product``) only when its
+    x-coefficient is not the larger one.
     """
     k = len(u)
     if k < 1:
@@ -116,14 +117,13 @@ def tilde_canonical(u: Tuple[int, ...], ell: int) -> Tuple[int, ...]:
         raise ValueError("truncation order must be at least 1")
     s = sum(u)
     r = s % (k + 1)  # the plus flip's x-coefficient; the minus flip's is k+1-r or 0
-    candidates = []
-    if 2 * r <= k + 1:
-        w = -(s // (k + 1))
-        candidates.append(_trunc_linear_product(map(w.__add__, u), ell, w))
-    if r == 0 or 2 * r >= k + 1:
-        w = -(-s // (k + 1))
-        candidates.append(_trunc_linear_product(map(w.__sub__, u), ell, w))  # w - x
-    return min(candidates)
+    if 0 < 2 * r < k + 1:
+        return _trunc_shifted_product(u, ell, -(s // (k + 1)), 1)
+    if 2 * r > k + 1:
+        return _trunc_shifted_product(u, ell, -(-s // (k + 1)), -1)
+    # equal x-coefficients: both flips are expanded
+    plus = _trunc_shifted_product(u, ell, -(s // (k + 1)), 1)
+    return min(plus, _trunc_shifted_product(u, ell, -(-s // (k + 1)), -1))
 
 
 def _bott_key(cp: CharPair) -> Tuple:
@@ -132,12 +132,8 @@ def _bott_key(cp: CharPair) -> Tuple:
     product key when that vector is equivalent to zero (the zero pair
     included), which both sides share."""
     n, m, a, b = cp
-    if any(a):
-        side, series = "n", tilde_canonical(a, n)
-    elif any(b):
-        side, series = "m", tilde_canonical(b, m)
-    else:
-        return (n, m, "bott-product")
+    side, v, ell = ("n", a, n) if any(a) else ("m", b, m)
+    series = tilde_canonical(v, ell)
     if any(series[1:]):
         return (n, m, "bott", side, series)
     return (n, m, "bott-product")
@@ -227,15 +223,12 @@ class HomeoClass(NamedTuple):
         return hash(self.key)
 
     def sort_key(self) -> Tuple:
-        return (
-            self.n,
-            self.m,
-            _FAMILY_ORDER[self.family],
-            self.s if self.s is not None else -1,
-            self.r if self.r is not None else -1,
-            self.orientation or "",
-            self.representative,
-        )
+        rep = self.representative
+        if self.family == "nonbott":
+            counts = (self.s, self.r, rep.orientation)
+        else:
+            counts = (-1, -1, "")
+        return (rep.n, rep.m, _FAMILY_ORDER[self.family]) + counts + (rep,)
 
     def params_dict(self) -> Dict[str, object]:
         if self.family == "nonbott":
@@ -370,32 +363,38 @@ def enumerate_classes(n: int, m: int, bound: int) -> List[HomeoClass]:
     """All homeomorphism classes realized by pairs with entries in
     [-bound, bound].
 
-    Keeps the smallest of the normal forms that ``admissible_normal_forms``
-    lists per class key, a Bott form (a or b zero) keyed by ``_bott_key``
-    straight from its twisting vector, and labels each kept form.  The
-    non-Bott portion is complete and bound-independent once bound >= 2
-    (normalized entries are 0, 1, 2); the Bott portion is exhaustive only
-    within the bound, since projective bundles form infinite families.
-    Output order and chosen labels are deterministic and independent of
-    generation order: each class gets the label with the smallest sort key.
+    Keeps the smallest twist vector of each side per ``tilde_canonical``
+    series and makes a Bott form of each winner only, then adds the run
+    forms with folded counts.  The non-Bott portion is complete and
+    bound-independent once bound >= 2 (normalized entries are 0, 1, 2); the
+    Bott portion is exhaustive only within the bound, since projective
+    bundles form infinite families.  Output order and chosen labels are
+    deterministic and independent of generation order: each class gets the
+    label with the smallest sort key.
 
     Raises:
         ValueError: when n < m, m < 1 or bound < 0.
     """
-    best: Dict[Tuple, CharPair] = {}
-    for cp in admissible_normal_forms(n, m, bound):
-        key = _label(cp).key if any(cp.a) and any(cp.b) else _bott_key(cp)
-        kept = best.get(key)
-        if kept is None or cp < kept:
-            best[key] = cp
-    # the smallest form of a key has the label that sorts first: the forms
-    # of a non-Bott key all give one label; the forms of a Bott key share a
-    # family, except that the product key also holds the zero pair (the
-    # smallest form and the only "product"), and that the m = 1 collapses
-    # (n, 1, (1,), b != 0) and (n, 1, (2,), b != 0) land on the keys of the
-    # bundles (n, 1, (1,), 0) and (n, 1, (2,), 0), smaller Bott forms whose
-    # "bott-base-n" sorts before "connsum-minus"
-    return sorted(map(_label, best.values()), key=HomeoClass.sort_key)
+    _check_grid(n, m, bound)
+    zero_a, zero_b = (0,) * m, (0,) * n
+    found = {(n, m, "bott-product"): _label(CharPair(n, m, zero_a, zero_b))}
+    for side, length, ell in (("n", m, n), ("m", n, m))[: 1 + (n > m)]:
+        won: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        for v in _bott_vectors(length, bound):
+            series = tilde_canonical(v, ell)
+            if v < won.setdefault(series, v):
+                won[series] = v
+        for series, v in won.items():
+            if any(series[1:]):  # the zero pair wins the product key
+                cp = CharPair(n, m, v, zero_b) if side == "n" else CharPair(n, m, zero_a, v)
+                found[(n, m, "bott", side, series)] = HomeoClass("bott-base-" + side, cp)
+    # the smallest vector's label sorts first in its family; a folded run form
+    # is its class's representative, or for m = 1 collapses onto the kept
+    # bundle (n, 1, (1,)) or (n, 1, (2,)), whose "bott-base-n" sorts first
+    for cp in _run_forms(n, m, bound, (m + 1) // 2, (n + 1) // 2):
+        c = _label(cp)
+        found.setdefault(c.key, c)
+    return sorted(found.values(), key=HomeoClass.sort_key)
 
 
 def count_nonbott(n: int, m: int) -> int:
@@ -406,14 +405,10 @@ def count_nonbott(n: int, m: int) -> int:
     dimensions above 1: twice the product of the two floors (the mirrored
     orientations are distinct).
     """
-    if m < 1 or n < m:
-        raise ValueError("need n >= m >= 1")
+    _check_grid(n, m, 0)
     if m == 1:
         if n == 1:
             return 1
         return 0 if n % 2 == 0 else 2
-    half_n = (n + 1) // 2
-    half_m = (m + 1) // 2
-    if n == m:
-        return half_n * half_n
-    return 2 * half_n * half_m
+    # the run forms with folded counts that enumerate_classes lists
+    return (1 if n == m else 2) * ((n + 1) // 2) * ((m + 1) // 2)

@@ -310,6 +310,13 @@ def kernel_lattice(cp: CharPair) -> LatticeBasis:
     return kernel_basis(characteristic_matrix_grouped(cp).to_rows())
 
 
+def _check_grid(n: int, m: int, bound: int) -> None:
+    if m < 1 or n < m:
+        raise ValueError("need n >= m >= 1")
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
+
+
 def _bott_vectors(length: int, bound: int) -> Iterable[Tuple[int, ...]]:
     """Every nonzero entry multiset with entries in [-bound, bound], sorted
     by ``_canonical_sort`` and kept only at the sign ``_canonical_sign``
@@ -318,8 +325,22 @@ def _bott_vectors(length: int, bound: int) -> Iterable[Tuple[int, ...]]:
     # sorted, so zeros trail and v[0] is 0 only for the zero vector
     values = _canonical_sort(range(-bound, bound + 1))
     for v in itertools.combinations_with_replacement(values, length):
-        if v[0] and v >= _negated_sort(v):
+        # v >= _negated_sort(v) is settled by the two first entries unless they tie
+        tie = v[0] + v[length - 1 - v.count(0)]
+        if v[0] and (tie > 0 or tie == 0 and v >= _negated_sort(v)):
             yield v
+
+
+def _run_forms(n: int, m: int, bound: int, top_q: int, top_p: int) -> Iterable[CharPair]:
+    """The run forms of ``admissible_normal_forms`` (the non-Bott ones) with
+    1 <= q <= top_q and 1 <= p <= top_p; none when bound < 2."""
+    if bound < 2:
+        return
+    for alpha, beta in ((2, 1), (1, 2)) if n > m else ((2, 1),):
+        for q in range(1, top_q + 1):
+            a = (alpha,) * q + (0,) * (m - q)
+            for p in range(1, top_p + 1):
+                yield CharPair(n, m, a, (beta,) * p + (0,) * (n - p))
 
 
 def admissible_normal_forms(n: int, m: int, bound: int) -> Iterable[CharPair]:
@@ -337,10 +358,7 @@ def admissible_normal_forms(n: int, m: int, bound: int) -> Iterable[CharPair]:
     Raises:
         ValueError: when n < m, m < 1 or bound < 0 (on first iteration).
     """
-    if m < 1 or n < m:
-        raise ValueError("need n >= m >= 1")
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
+    _check_grid(n, m, bound)
     zero_a, zero_b = (0,) * m, (0,) * n
     yield CharPair(n, m, zero_a, zero_b)
     for a in _bott_vectors(m, bound):
@@ -348,12 +366,4 @@ def admissible_normal_forms(n: int, m: int, bound: int) -> Iterable[CharPair]:
     if n > m:
         for b in _bott_vectors(n, bound):
             yield CharPair(n, m, zero_a, b)
-    if bound < 2:
-        return
-    runs = ((2, 1), (1, 2)) if n > m else ((2, 1),)
-    for alpha, beta in runs:
-        for q in range(1, m + 1):
-            a = (alpha,) * q + (0,) * (m - q)
-            for p in range(1, n + 1):
-                b = (beta,) * p + (0,) * (n - p)
-                yield CharPair(n, m, a, b)
+    yield from _run_forms(n, m, bound, m, n)

@@ -18,7 +18,7 @@ from qtoric.classify import (
     same_class,
     tilde_canonical,
 )
-from qtoric.quasitoric import CharPair, validate
+from qtoric.quasitoric import CharPair, admissible_normal_forms, validate
 
 from pair_reference import filtered_admissible_pairs, tilde_equiv, trunc_product_identity
 from pair_reference import tilde_canonical as reference_canonical
@@ -525,6 +525,25 @@ class TestEnumerate:
         assert digest == (
             "5f3dbb305d535c581fcad3d642405441c26c090e65a9fa9d8a298cac7f154dc8"
         )
+
+    def test_matches_smallest_form_per_key(self):
+        # every normal form keyed by its full label, independently of the
+        # per-side walk, so a mismatch names its cell
+        cells = [
+            (n, m, bound)
+            for n in range(1, 7)
+            for m in range(1, n + 1)
+            for bound in range(4)
+        ] + [(n, m, 2) for n in (7, 8) for m in range(1, n + 1)]
+        for n, m, bound in cells:
+            best = {}
+            for cp in admissible_normal_forms(n, m, bound):
+                key = canonical_class(cp).key
+                if key not in best or cp < best[key]:
+                    best[key] = cp
+            expected = sorted(map(canonical_class, best.values()), key=HomeoClass.sort_key)
+            got = enumerate_classes(n, m, bound)
+            assert [tuple(c) for c in got] == [tuple(c) for c in expected], (n, m, bound)
 
     def test_class_key_is_exact(self):
         labels = {}

@@ -357,3 +357,24 @@ class TestAdmissiblePairs:
         for args in ((1, 2, 2), (2, 0, 2), (2, 2, -1)):
             with pytest.raises(ValueError):
                 list(admissible_normal_forms(*args))
+
+    def test_bott_vectors_match_full_sign_filter(self):
+        # a square base lists each a-side vector once, in generation order;
+        # the sign choice is checked against the sort of the negated vector,
+        # spelled out here in full for every multiset
+        def canonical(v):
+            return tuple(sorted(v, key=lambda x: (x == 0, -x)))
+
+        for length, bound in itertools.product(range(1, 9), range(5)):
+            values = canonical(range(-bound, bound + 1))
+            expected = [
+                v
+                for v in itertools.combinations_with_replacement(values, length)
+                if v[0] and v >= canonical(-x for x in v)
+            ]
+            got = [
+                nf.a
+                for nf in admissible_normal_forms(length, length, bound)
+                if not any(nf.b) and any(nf.a)
+            ]
+            assert got == expected, (length, bound)
