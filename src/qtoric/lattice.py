@@ -1,6 +1,10 @@
 """Exact integer linear algebra: Hermite and Smith normal forms, kernels,
 canonical lattice bases, and unimodular-extendability tests.
 
+One row Hermite reduction, ``_hnf_rows``, is the only elimination here.
+The canonical bases, the kernel and the extendability test read its result
+directly, and the Smith diagonal alternates it with transposition.
+
 Everything here runs on arbitrary-precision Python integers; intermediate
 entries in a normal-form computation can grow far beyond the input magnitude,
 so no fixed-width arithmetic is ever used.
@@ -35,7 +39,6 @@ __all__ = [
     "kernel_basis",
     "is_basis_extendable",
     "lattice_from_generators",
-    "determinant",
 ]
 
 
@@ -56,27 +59,14 @@ class IntMatrix(NamedTuple):
     entries: Tuple[int, ...]
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[int]], cols: int | None = None) -> "IntMatrix":
-        """Build a matrix from an iterable of equal-length rows.
-
-        Args:
-            rows: row vectors.
-            cols: required column count when ``rows`` is empty (a 0 x cols
-                matrix is a legitimate value, e.g. an empty generating set).
-        """
+    def from_rows(cls, rows: Iterable[Sequence[int]]) -> "IntMatrix":
+        """Build a matrix from a nonempty iterable of equal-length rows."""
         row_list = [tuple(int(x) for x in r) for r in rows]
-        if row_list:
-            width = len(row_list[0])
-            if any(len(r) != width for r in row_list):
-                raise ValueError("rows have unequal lengths")
-            if cols is not None and cols != width:
-                raise ValueError("cols does not match row length")
-        else:
-            if cols is None:
-                raise ValueError("empty matrix needs an explicit column count")
-            if cols < 0:
-                raise ValueError("matrix dimensions must be nonnegative")
-            width = cols
+        if not row_list:
+            raise ValueError("matrix needs at least one row")
+        width = len(row_list[0])
+        if any(len(r) != width for r in row_list):
+            raise ValueError("rows have unequal lengths")
         flat = tuple(x for r in row_list for x in r)
         return cls(len(row_list), width, flat)
 
@@ -182,35 +172,6 @@ def _hnf_rows(rows: List[List[int]]) -> None:
             top += 1
 
 
-def determinant(m: IntMatrix) -> int:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
-    if m.rows != m.cols:
-        raise ValueError("determinant needs a square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = [list(r) for r in m.to_rows()]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), -1)
-            if swap == -1:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        akk = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            ai = a[i]
-            ak = a[k]
-            for j in range(k + 1, n):
-                ai[j] = (akk * ai[j] - aik * ak[j]) // prev
-            ai[k] = 0
-        prev = akk
-    return sign * a[n - 1][n - 1]
-
-
 def _row_lists(rows: Sequence[Sequence[int]]) -> List[List[int]]:
     """Copy equal-length rows to lists."""
     a = [list(r) for r in rows]
@@ -268,7 +229,9 @@ def kernel_basis(rows: Sequence[Sequence[int]]) -> LatticeBasis:
     that: row-reduce the block matrix [A^T | I]; the rows whose left block
     vanishes carry, in the right block, a basis of the left kernel of A^T,
     which is the kernel of A.  Those rows sit inside a unimodular transform,
-    so they span the kernel primitively, and a final HNF canonicalizes them.
+    so they span the kernel primitively.  They close the reduced matrix,
+    below every row with a pivot in the left block, so their right blocks
+    are already the canonical basis.
     """
     a = _row_lists(rows)
     if not a:
@@ -276,26 +239,22 @@ def kernel_basis(rows: Sequence[Sequence[int]]) -> LatticeBasis:
     r, c = len(a), len(a[0])
     aug = [list(col) + [1 if j == i else 0 for j in range(c)] for i, col in enumerate(zip(*a))]
     _hnf_rows(aug)
-    gens = [row[r:] for row in aug if not any(row[:r])]
-    return lattice_from_generators(c, gens)
+    return LatticeBasis(c, tuple(tuple(row[r:]) for row in aug if not any(row[:r])))
 
 
 def is_basis_extendable(vectors: Sequence[Sequence[int]]) -> bool:
-    """Whether the given vectors extend to a Z-basis of the ambient Z^d.
+    """Whether the given k vectors extend to a Z-basis of the ambient Z^d.
 
-    True exactly when the vectors are independent and the Smith diagonal of
-    the matrix they form is all ones.  The square case short-circuits through
-    a Bareiss determinant, which the brute-force validity oracle leans on.
+    True exactly when the Smith diagonal of the matrix they form is k ones,
+    that is, when its d rows of length k generate Z^k.  One Hermite
+    reduction of those rows, which are the vectors' columns, decides every
+    shape: they generate Z^k exactly when the canonical basis is the k x k
+    identity.  More vectors than coordinates leave too few rows.
     """
-    vecs = [tuple(int(x) for x in v) for v in vectors]
-    if not vecs:
-        return True
-    d = len(vecs[0])
-    if any(len(v) != d for v in vecs):
+    k = len(vectors)
+    if any(len(v) != len(vectors[0]) for v in vectors):
         raise ValueError("vectors have unequal lengths")
-    k = len(vecs)
-    if k > d:
-        return False
-    if k == d:
-        return determinant(IntMatrix.from_rows(vecs, cols=d)) in (1, -1)
-    return all(x == 1 for x in smith_normal_form(vecs))
+    # read as Python integers, so the reduction stays exact on any input
+    rows = [[int(x) for x in col] for col in zip(*vectors)]
+    _hnf_rows(rows)
+    return rows[:k] == [[int(i == j) for j in range(k)] for i in range(k)]

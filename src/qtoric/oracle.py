@@ -5,11 +5,10 @@ Two oracles, both exact:
 * ``ring_iso_search``: brute-force search for a graded ring isomorphism
   between two cohomology presentations.  It enumerates 2x2 integer matrices g
   with determinant +-1 and bounded entries, substitutes the generators, and
-  tests the two ideals for containment both ways: each substituted
-  generator must lie in the target ideal, and each target generator in the
-  ideal the substituted ones generate, each test run in one degree piece
-  through its coefficient lattice.  Two ideals that contain each other's
-  generators are equal, so this is a complete equality test for a given g.
+  compares the two ideals in the degrees of their generators, where each
+  degree piece is a coefficient lattice held in canonical form.  Ideals
+  that agree in those degrees contain each other's generators and so are
+  equal, which makes this a complete equality test for a given g.
   A negative answer is only "within bound":
   the closed-form classifier stays authoritative and the search acts as a
   falsifier.
@@ -34,7 +33,7 @@ from __future__ import annotations
 import functools
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .lattice import IntMatrix, determinant
+from .lattice import IntMatrix, is_basis_extendable
 from .polyring import ideal_degree_lattice, substitute_linear
 from .quasitoric import CharPair, Presentation, kernel_span_vectors
 
@@ -130,9 +129,9 @@ def ring_iso_search(p: Presentation, q: Presentation, bound: int = 3) -> IsoVerd
     presentations, over substitutions with entries bounded by ``bound``.
 
     A candidate g works when the substituted ideal equals the target one,
-    tested by containment both ways: each substituted generator lies in the
-    target's piece of its degree, and each target generator lies in the
-    substituted ideal's piece of its degree.  The first working candidate in
+    tested by equal canonical lattices in the degree of each generator: the
+    pieces there are pinned by the generators, and ideals with equal pieces
+    there contain each other's generators.  The first working candidate in
     the fixed total order is returned, so the result is deterministic.
 
     Raises:
@@ -146,22 +145,16 @@ def ring_iso_search(p: Presentation, q: Presentation, bound: int = 3) -> IsoVerd
     q_degrees = sorted((q.gen1.degree, q.gen2.degree))
     if p_degrees != q_degrees:
         raise ValueError("generator degree multisets differ")
-    target = {d: ideal_degree_lattice(q.gens, d) for d in q_degrees}
-    low, high = sorted(p.gens, key=lambda gen: gen.degree)
+    target = {d: ideal_degree_lattice(q, d) for d in q_degrees}
+    low, high = sorted(p, key=lambda gen: gen.degree)
     for g in _candidate_matrices(bound):
-        # the image ideal must lie in the target: the lowest-degree generator
-        # is the cheaper one to substitute and meets the smallest piece, so
-        # it goes first and the other is substituted only when it passes
-        image = []
-        for gen in (low, high):
-            sub = substitute_linear(gen, g)
-            if not target[sub.degree].contains(sub.coeffs):
-                break
-            image.append(sub)
-        else:
-            # and the target must lie in the image ideal
-            pieces = {d: ideal_degree_lattice(image, d) for d in target}
-            if all(pieces[t.degree].contains(t.coeffs) for t in q.gens):
+        # a membership prefilter: the lowest-degree generator is the cheaper
+        # one to substitute and meets the smallest piece, so the other is
+        # substituted only when its image lies in the target
+        first = substitute_linear(low, g)
+        if target[first.degree].contains(first.coeffs):
+            image = (first, substitute_linear(high, g))
+            if all(ideal_degree_lattice(image, d) == piece for d, piece in target.items()):
                 return IsoVerdict(matrix=IntMatrix(2, 2, g[0] + g[1]))
     return IsoVerdict(bound=bound)
 
@@ -203,7 +196,7 @@ def witness_check(u: IntMatrix, u_prime: IntMatrix, witness: MonomialWitness) ->
     # an integer row or column of absolute sum 1 holds one entry +-1
     if any(sum(map(abs, line)) != 1 for line in rows + tuple(zip(*rows))):
         return False
-    return determinant(t) in (1, -1) and _product(s, u) == _product(u_prime, t)
+    return is_basis_extendable(t.to_rows()) and _product(s, u) == _product(u_prime, t)
 
 
 def _signed_permutation(size: int, mapping: Dict[int, Tuple[int, int]]) -> IntMatrix:

@@ -116,7 +116,8 @@ class CharPair(NamedTuple):
 class Presentation(NamedTuple):
     """The graded ring Z[x1, x2] / <gen1, gen2> over the product of an
     n-simplex and an m-simplex, read off the generator degrees:
-    deg gen1 = n+1 and deg gen2 = m+1."""
+    deg gen1 = n+1 and deg gen2 = m+1.  The value is its own generator
+    pair, to iterate or to pass where generators are expected."""
 
     gen1: HomogPoly
     gen2: HomogPoly
@@ -128,10 +129,6 @@ class Presentation(NamedTuple):
     @property
     def m(self) -> int:
         return self.gen2.degree - 1
-
-    @property
-    def gens(self) -> Tuple[HomogPoly, HomogPoly]:
-        return (self.gen1, self.gen2)
 
     def to_json_dict(self) -> Dict[str, object]:
         return {
@@ -279,7 +276,7 @@ def graded_ranks(p: Presentation) -> GradedRanks:
     ranks: List[int] = []
     torsion: List[Tuple[int, ...]] = []
     for d in range(p.n + p.m + 1):
-        lat = ideal_degree_lattice([p.gen1, p.gen2], d)
+        lat = ideal_degree_lattice(p, d)
         ranks.append(d + 1 - lat.rank)
         if lat.rank:
             diag = smith_normal_form(lat.basis)

@@ -10,7 +10,6 @@ import random
 import time
 
 from qtoric.classify import (
-    canonical_class,
     count_nonbott,
     enumerate_classes,
     homeomorphic,

@@ -9,7 +9,6 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from qtoric.lattice import (
     IntMatrix,
-    determinant,
     is_basis_extendable,
     kernel_basis,
     lattice_from_generators,
@@ -26,6 +25,37 @@ small_matrices = st.integers(1, 5).flatmap(
         )
     )
 )
+
+
+@st.composite
+def vector_sets(draw):
+    """k vectors of length d, k <= d + 1: random ones (mostly not
+    extendable), rows of a unimodular matrix mixed by multi-digit row
+    operations (extendable), or such rows with the last replaced by 0, 2, 3
+    or 10 times itself plus a combination of the others (singular, or of
+    index above 1)."""
+    d = draw(st.integers(1, 5))
+    k = draw(st.integers(1, d + 1))
+    kind = draw(st.sampled_from(["random", "unimodular", "singular"]))
+    big = st.integers(-(10**9), 10**9)
+    if kind == "random":
+        entries = st.integers(-4, 4) | big
+        return draw(st.lists(st.lists(entries, min_size=d, max_size=d), min_size=k, max_size=k))
+    rows = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(draw(st.integers(0, 3 * d))):
+        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        if i != j:
+            c = draw(big)
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    rows = draw(st.permutations(rows))[: min(k, d)]
+    if kind == "singular":
+        coeffs = draw(st.lists(st.integers(-9, 9), min_size=len(rows), max_size=len(rows)))
+        scale = draw(st.sampled_from([0, 2, 3, 10]))
+        combo = [scale * x for x in rows[-1]]
+        for c, r in zip(coeffs[:-1], rows[:-1]):
+            combo = [x + c * y for x, y in zip(combo, r)]
+        rows[-1] = combo
+    return rows
 
 
 def canonical_rows(rows):
@@ -143,6 +173,13 @@ class TestKernel:
 
     @given(small_matrices)
     @settings(max_examples=60)
+    def test_basis_is_canonical(self, rows):
+        # the kernel rows come out of the reduction already in Hermite form
+        k = kernel_basis(rows)
+        assert k == lattice_from_generators(len(rows[0]), k.basis)
+
+    @given(small_matrices)
+    @settings(max_examples=60)
     def test_kernel_annihilates_and_is_primitive(self, rows):
         k = kernel_basis(rows)
         for v in k.basis:
@@ -206,6 +243,16 @@ class TestExtendable:
     def test_examples(self, vectors, expected):
         assert is_basis_extendable(vectors) is expected
 
+    @given(vector_sets())
+    @settings(max_examples=150)
+    def test_agrees_with_sympy_smith_form(self, vectors):
+        # k vectors in Z^d extend to a basis exactly when k <= d and the
+        # Smith diagonal of the k x d matrix they form is k units
+        k, d = len(vectors), len(vectors[0])
+        s = sympy_snf(Matrix(vectors))
+        expected = k <= d and all(abs(s[i, i]) == 1 for i in range(k))
+        assert is_basis_extendable(vectors) is expected
+
     @given(st.lists(st.integers(-6, 6), min_size=2, max_size=5))
     def test_single_vector_iff_gcd_one(self, v):
         import math
@@ -224,12 +271,9 @@ def test_matrix_shape_validation():
     with pytest.raises(ValueError, match="kernel needs at least one row"):
         kernel_basis([])
     assert smith_normal_form([]) == ()
-    with pytest.raises(ValueError, match="cols does not match row length"):
-        IntMatrix.from_rows([[1, 2]], cols=3)
-    with pytest.raises(ValueError, match="empty matrix needs an explicit column count"):
+    # a matrix has at least one row, which fixes its width
+    with pytest.raises(ValueError, match="matrix needs at least one row"):
         IntMatrix.from_rows([])
-    with pytest.raises(ValueError, match="matrix dimensions must be nonnegative"):
-        IntMatrix.from_rows([], cols=-1)
     with pytest.raises(ValueError, match="generator length differs from ambient dimension"):
         lattice_from_generators(2, [(1, 2, 3)])
     with pytest.raises(ValueError, match="ambient dimension must be nonnegative"):

@@ -36,10 +36,21 @@ def _presentation(n, m, a, b):
 
 
 def _ideals_match_through(p, q, g, dmax):
-    image = [substitute_linear(gen, g) for gen in p.gens]
+    image = [substitute_linear(gen, g) for gen in p]
     return all(
-        ideal_degree_lattice(image, d) == ideal_degree_lattice(q.gens, d)
+        ideal_degree_lattice(image, d) == ideal_degree_lattice(q, d)
         for d in range(1, dmax + 1)
+    )
+
+
+def _contain_each_other_through(p, q, g):
+    # each generator of either ideal lies in the other ideal's piece of its
+    # degree: membership alone, no comparison of canonical bases
+    image = [substitute_linear(gen, g) for gen in p]
+    return all(
+        ideal_degree_lattice(ideal, gen.degree).contains(gen.coeffs)
+        for ideal, gens in ((q, image), (image, q))
+        for gen in gens
     )
 
 
@@ -139,21 +150,25 @@ class TestRingIsoSearch:
             }
         )
         assert len(presentations) == 112
-        doc = [
-            [
-                [g.coeffs for g in p.gens],
-                [g.coeffs for g in q.gens],
-                ring_iso_search(p, q, bound=2).to_json_dict(),
-            ]
+        searched = [
+            (p, q, ring_iso_search(p, q, bound=2))
             for p in presentations
             for q in presentations
             if (p.gen1.degree, p.gen2.degree) == (q.gen1.degree, q.gen2.degree)
+        ]
+        doc = [
+            [[g.coeffs for g in p], [g.coeffs for g in q], verdict.to_json_dict()]
+            for p, q, verdict in searched
         ]
         assert (len(doc), sum(v["found"] for _, _, v in doc)) == (3652, 892)
         digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
         assert digest == (
             "d5538db916a33ca25c10322b1c6990bb5473afa73947674cdaa7315d0c834b99"
         )
+        # every witness, rechecked by containment both ways
+        for p, q, verdict in searched:
+            if verdict.found:
+                assert _contain_each_other_through(p, q, verdict.matrix.to_rows()), (p, q)
 
 
 # every valid pair with n, m <= 3 and entries in [-3, 3], sorted entries

@@ -51,8 +51,10 @@ def _unused_imports(path):
 
 def test_no_unused_imports():
     # the package's own star imports are its exports, so it is left out
-    paths = sorted(Path(qtoric.__file__).parent.glob("*.py"))
-    unused = {p.name: _unused_imports(p) for p in paths if p.name != "__init__.py"}
+    root = Path(__file__).resolve().parents[1]
+    paths = [p for p in Path(qtoric.__file__).parent.glob("*.py") if p.name != "__init__.py"]
+    paths += list(root.glob("tests/*.py")) + list(root.glob("demos/*.py"))
+    unused = {f"{p.parent.name}/{p.name}": _unused_imports(p) for p in paths}
     assert {name: names for name, names in unused.items() if names} == {}
 
 
