@@ -5,9 +5,10 @@ Equivariance certificates, re-proved by matrix multiplication
 Each closed-form equivalence used by the classifier is backed by an explicit
 homeomorphism: a signed permutation S of the moment-angle coordinates that
 intertwines the two free torus actions after reparametrizing the torus by a
-2x2 unimodular matrix T.  The whole proof obligation collapses to one
-integer matrix identity, S * U = U' * T, where U and U' are the weight
-matrices of the two actions.  This script rebuilds each certificate family
+2x2 unimodular matrix T.  S keeps each factor's block of coordinates
+together, so the proof obligation collapses to one integer matrix
+identity, S * U = U' * T, where U and U' are the weight matrices of the
+two actions.  This script rebuilds each certificate family
 and checks the identity.
 """
 
@@ -20,17 +21,17 @@ print("repeat-fill weight matrices (rows = coordinates):")
 print("  source:", u.to_rows())
 print("  target:", u_prime.to_rows())
 print("  T =", w.t.to_rows())
-print("  identity holds:", witness_check(u, u_prime, w))
+print("  identity holds:", witness_check(u, u_prime, w, 2))
 
 # Family 2: the r-fold. The class (s, r) maps onto (s, n+1-r) by cycling
 # the first coordinate block and conjugating part of the second.
 u, u_prime, w = builtin_witness("fold-r", n=3, m=2, s=1, r=1)
 print()
-print("fold-r (s=1, r=1 -> r'=3):", witness_check(u, u_prime, w))
+print("fold-r (s=1, r=1 -> r'=3):", witness_check(u, u_prime, w, 3))
 
 # Family 3: the s-fold, the mirror move on the other block.
 u, u_prime, w = builtin_witness("fold-s", n=3, m=2, s=1, r=1)
-print("fold-s (s=1 -> s'=2, r=1):", witness_check(u, u_prime, w))
+print("fold-s (s=1 -> s'=2, r=1):", witness_check(u, u_prime, w, 3))
 
 # The full acceptance suite runs these over every parameter in range; a
 # single failure would mean the classifier rests on a broken equivalence.
@@ -41,7 +42,7 @@ for family in ("fold-r", "fold-s"):
             for s in range(1, m + 1):
                 for r in range(1, n + 1):
                     triple = builtin_witness(family, n=n, m=m, s=s, r=r)
-                    assert witness_check(*triple)
+                    assert witness_check(*triple, n)
                     count += 1
 print()
 print("checked %d fold certificates, all pass" % count)

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .quasitoric import CharPair, _bott_vectors, _check_grid, _run_forms, normalize
+from .quasitoric import CharPair, _bott_vectors, normalize
 
 __all__ = [
     "HomeoClass",
@@ -359,6 +359,13 @@ def _homeomorphic_labelled(
     return same_class(c1, c2)
 
 
+def _check_grid(n: int, m: int, bound: int) -> None:
+    if m < 1 or n < m:
+        raise ValueError("need n >= m >= 1")
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
+
+
 def enumerate_classes(n: int, m: int, bound: int) -> List[HomeoClass]:
     """All homeomorphism classes realized by pairs with entries in
     [-bound, bound].
@@ -388,12 +395,18 @@ def enumerate_classes(n: int, m: int, bound: int) -> List[HomeoClass]:
             if any(series[1:]):  # the zero pair wins the product key
                 cp = CharPair(n, m, v, zero_b) if side == "n" else CharPair(n, m, zero_a, v)
                 found[(n, m, "bott", side, series)] = HomeoClass("bott-base-" + side, cp)
-    # the smallest vector's label sorts first in its family; a folded run form
-    # is its class's representative, or for m = 1 collapses onto the kept
-    # bundle (n, 1, (1,)) or (n, 1, (2,)), whose "bott-base-n" sorts first
-    for cp in _run_forms(n, m, bound, (m + 1) // 2, (n + 1) // 2):
-        c = _label(cp)
-        found.setdefault(c.key, c)
+    # then the run forms alpha^q 0^(m-q), beta^p 0^(n-p) with folded counts,
+    # none below bound 2.  The smallest vector's label sorts first in its
+    # family; a folded run form is its class's representative, or for m = 1
+    # collapses onto the kept bundle (n, 1, (1,)) or (n, 1, (2,)), whose
+    # "bott-base-n" sorts first
+    runs = ((2, 1), (1, 2))[: 1 + (n > m)] if bound >= 2 else ()
+    for alpha, beta in runs:
+        for q in range(1, (m + 1) // 2 + 1):
+            a = (alpha,) * q + (0,) * (m - q)
+            for p in range(1, (n + 1) // 2 + 1):
+                c = _label(CharPair(n, m, a, (beta,) * p + (0,) * (n - p)))
+                found.setdefault(c.key, c)
     return sorted(found.values(), key=HomeoClass.sort_key)
 
 

@@ -18,6 +18,9 @@ byte-deterministic for fixed inputs.
 
 Sizes are capped by ``SIZE_LIMITS`` before any work starts, so no input
 runs unbounded; a breach is a usage error.
+
+Each command imports the library layers it runs when it runs, and the
+parser needs none, so a process loads only its own command's layers.
 """
 
 from __future__ import annotations
@@ -25,33 +28,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from .classify import (
-    _homeomorphic_labelled,
-    canonical_class,
-    count_nonbott,
-    enumerate_classes,
-    homeomorphic,
-)
-from .oracle import (
-    WITNESS_FAMILIES,
-    WITNESS_PARAMS,
-    builtin_witness,
-    ring_iso_search,
-    witness_check,
-)
-from .quasitoric import (
-    CharPair,
-    cohomology_presentation,
-    graded_ranks,
-    h_vector,
-    kernel_lattice,
-    validate,
-    validate_bruteforce,
-)
+if TYPE_CHECKING:
+    from .quasitoric import CharPair
 
-__all__ = ["SIZE_LIMITS", "build_parser", "main"]
+__all__ = ["SIZE_LIMITS", "WITNESS_PARAMS", "build_parser", "main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -83,6 +65,14 @@ SIZE_LIMITS = {
 }
 
 
+# the flags besides --n that each certificate family cannot do without
+WITNESS_PARAMS = {
+    "repeat-fill": ("a", "b"),
+    "fold-r": ("m", "s", "r"),
+    "fold-s": ("m", "s", "r"),
+}
+
+
 class UsageError(Exception):
     pass
 
@@ -109,6 +99,7 @@ def _read_document(path: str):
 
 
 def _pair_from_document(doc) -> CharPair:
+    from .quasitoric import CharPair
     try:
         return CharPair.from_json_dict(doc)
     except (ValueError, TypeError, KeyError) as exc:
@@ -136,6 +127,7 @@ def _check_pair_sizes(args, *pairs: CharPair) -> None:
 
 
 def _require_valid(cp: CharPair) -> None:
+    from .quasitoric import validate
     if not validate(cp):
         raise InvalidInputError(
             "characteristic pair fails the validity condition"
@@ -202,6 +194,7 @@ _Outcome = Tuple[object, List[List[object]], Optional[str]]
 
 
 def cmd_validate(args) -> _Outcome:
+    from .quasitoric import validate, validate_bruteforce
     cp = _read_pair(args.input)
     _check_pair_sizes(args, cp)
     fast = validate(cp)
@@ -214,12 +207,14 @@ def cmd_validate(args) -> _Outcome:
 
 
 def cmd_classify(args) -> _Outcome:
+    from .classify import canonical_class
     (cp,) = _read_valid_pairs(args, [args.input], 1)
     label = canonical_class(cp)
     return label.to_json_dict(), [_CLASS_TSV_HEADER, _class_tsv_row(label)], None
 
 
 def cmd_compare(args) -> _Outcome:
+    from .classify import _homeomorphic_labelled, canonical_class
     cp1, cp2 = _read_valid_pairs(args, args.inputs, 2)
     c1, c2 = canonical_class(cp1), canonical_class(cp2)
     verdict, rule = _homeomorphic_labelled(cp1, c1, cp2, c2)
@@ -233,6 +228,7 @@ def cmd_compare(args) -> _Outcome:
 
 
 def cmd_enumerate(args) -> _Outcome:
+    from .classify import enumerate_classes
     try:
         classes = enumerate_classes(args.n, args.m, args.bound)
     except ValueError as exc:
@@ -248,6 +244,7 @@ def cmd_enumerate(args) -> _Outcome:
 
 
 def cmd_count(args) -> _Outcome:
+    from .classify import count_nonbott
     try:
         value = count_nonbott(args.n, args.m)
     except ValueError as exc:
@@ -257,6 +254,7 @@ def cmd_count(args) -> _Outcome:
 
 
 def cmd_cohomology(args) -> _Outcome:
+    from .quasitoric import cohomology_presentation, graded_ranks, h_vector
     (cp,) = _read_valid_pairs(args, [args.input], 1)
     pres = cohomology_presentation(cp)
     ranks = graded_ranks(pres)
@@ -275,6 +273,7 @@ def cmd_cohomology(args) -> _Outcome:
 
 
 def cmd_kernel(args) -> _Outcome:
+    from .quasitoric import kernel_lattice
     (cp,) = _read_valid_pairs(args, [args.input], 1)
     basis = kernel_lattice(cp)
     rows = [list(v) for v in basis.basis]
@@ -289,6 +288,9 @@ def cmd_kernel(args) -> _Outcome:
 
 
 def cmd_oracle_iso(args) -> _Outcome:
+    from .classify import homeomorphic
+    from .oracle import ring_iso_search
+    from .quasitoric import cohomology_presentation
     if args.bound < 0:
         raise UsageError("--bound must be nonnegative")
     cp1, cp2 = _read_valid_pairs(args, args.inputs, 2)
@@ -316,6 +318,7 @@ def cmd_oracle_iso(args) -> _Outcome:
 
 
 def cmd_witness_check(args) -> _Outcome:
+    from .oracle import builtin_witness, witness_check
     missing = [p for p in WITNESS_PARAMS[args.family] if getattr(args, p) is None]
     if missing:
         raise UsageError(
@@ -334,7 +337,7 @@ def cmd_witness_check(args) -> _Outcome:
         )
     except ValueError as exc:
         raise InvalidInputError(str(exc))
-    ok = witness_check(u, u_prime, witness)
+    ok = witness_check(u, u_prime, witness, args.n)
     report = {
         "family": args.family,
         "ok": ok,
@@ -418,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
         "witness-check",
         help="rebuild a built-in equivariance certificate and verify it",
     )
-    p.add_argument("--family", choices=WITNESS_FAMILIES, required=True)
+    p.add_argument("--family", choices=tuple(WITNESS_PARAMS), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int)
     p.add_argument("--s", type=int)

@@ -17,10 +17,13 @@ Two oracles, both exact:
   signed permutation S of the moment-angle coordinates intertwines the two
   free torus actions exactly when S * U = U' * T, where U and U' hold the
   weight columns of the two subtorus inclusions and T, with |det T| = 1,
-  reparametrizes the acting torus on exponents; the check tests all three
-  conditions.  ``builtin_witness`` reconstructs the three families of
-  certificates behind the classifier's equivalences (repeat-fill, fold-r,
-  fold-s) so the identity can be rechecked by plain matrix multiplication.
+  reparametrizes the acting torus on exponents.  S must also keep each
+  factor's block of coordinates together, or swap two blocks of one size
+  whole, since the moment-angle manifold is a product of one sphere per
+  factor; the check tests all four conditions.  ``builtin_witness``
+  reconstructs the three families of certificates behind the classifier's
+  equivalences (repeat-fill, fold-r, fold-s) so the identity can be
+  rechecked by plain matrix multiplication.
 
 The witness formalism covers monomial maps only.  Homeomorphisms that mix
 coordinates instead of permuting them cannot be expressed as a
@@ -44,17 +47,7 @@ __all__ = [
     "weight_matrix",
     "witness_check",
     "builtin_witness",
-    "WITNESS_FAMILIES",
-    "WITNESS_PARAMS",
 ]
-
-# the parameters besides n that each certificate family cannot do without
-WITNESS_PARAMS = {
-    "repeat-fill": ("a", "b"),
-    "fold-r": ("m", "s", "r"),
-    "fold-s": ("m", "s", "r"),
-}
-WITNESS_FAMILIES = tuple(WITNESS_PARAMS)
 
 
 class IsoVerdict(NamedTuple):
@@ -173,15 +166,18 @@ def _product(x: IntMatrix, y: IntMatrix) -> List[List[int]]:
     return [[sum(a * b for a, b in zip(row, col)) for col in y_cols] for row in x.to_rows()]
 
 
-def witness_check(u: IntMatrix, u_prime: IntMatrix, witness: MonomialWitness) -> bool:
-    """True iff the certificate holds whole: s is a signed permutation,
+def witness_check(u: IntMatrix, u_prime: IntMatrix, witness: MonomialWitness, n: int) -> bool:
+    """True iff the certificate holds whole: s is a signed permutation that
+    keeps the first factor's n + 1 coordinates and the second factor's
+    together, or swaps the two blocks whole when they have one size,
     |det t| = 1, and s*u = u'*t, so that s intertwines the two subtorus
     actions through the reparametrization t.
 
     Raises:
         ValueError: on dimension mismatch: weight matrices without two
-            columns or of unequal heights, s not square of their height, or
-            t not 2x2.
+            columns or of unequal heights, s not square of their height, t
+            not 2x2, or n + 1 not splitting the height into two nonempty
+            blocks.
     """
     if u.cols != 2 or u_prime.cols != 2:
         raise ValueError("weight matrices must have two columns")
@@ -192,11 +188,20 @@ def witness_check(u: IntMatrix, u_prime: IntMatrix, witness: MonomialWitness) ->
         raise ValueError("signed permutation must be square of the coordinate count")
     if t.rows != 2 or t.cols != 2:
         raise ValueError("torus reparametrization must be 2x2")
+    if not 0 <= n <= u.rows - 2:
+        raise ValueError("n + 1 must split the coordinates into two nonempty blocks")
     rows = s.to_rows()
     # an integer row or column of absolute sum 1 holds one entry +-1
     if any(sum(map(abs, line)) != 1 for line in rows + tuple(zip(*rows))):
         return False
-    return is_basis_extendable(t.to_rows()) and _product(s, u) == _product(u_prime, t)
+    # coordinate i reads coordinate j: every i changes block (a whole swap,
+    # possible only for blocks of one size) or none does
+    crossings = {(i > n) != (j > n) for i, row in enumerate(rows) for j, x in enumerate(row) if x}
+    return (
+        len(crossings) == 1
+        and is_basis_extendable(t.to_rows())
+        and _product(s, u) == _product(u_prime, t)
+    )
 
 
 def _signed_permutation(size: int, mapping: Dict[int, Tuple[int, int]]) -> IntMatrix:
@@ -232,8 +237,8 @@ def builtin_witness(
         range; cycles the second block by s and conjugates the w-coordinates
         after position r.
 
-    Every triple returned here passes ``witness_check``; the test suite
-    reverifies that by direct matrix multiplication.
+    Every triple returned here passes ``witness_check`` at the same n; the
+    test suite reverifies that by direct matrix multiplication.
 
     Raises:
         ValueError: unknown family or parameters outside the stated range.

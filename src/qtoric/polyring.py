@@ -39,8 +39,8 @@ class HomogPoly(NamedTuple):
     degree: the zero polynomial is representable at any degree (all-zero
     coefficient vector), so degree-piece bookkeeping stays total.
 
-    :meth:`from_coeffs` is the checked constructor; the raw constructor does
-    not check that ``coeffs`` is a nonempty tuple of integers.
+    The constructor does not check that ``coeffs`` is a nonempty tuple of
+    integers: the package builds every value from coefficients it computed.
     """
 
     coeffs: Tuple[int, ...]
@@ -48,13 +48,6 @@ class HomogPoly(NamedTuple):
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Sequence[int]) -> "HomogPoly":
-        c = tuple(int(x) for x in coeffs)
-        if not c:
-            raise ValueError("degree must be nonnegative")
-        return cls(c)
 
 
 def linear_product(lead: Tuple[int, int], factors: Sequence[Tuple[int, int]]) -> HomogPoly:

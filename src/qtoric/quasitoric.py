@@ -40,7 +40,6 @@ __all__ = [
     "validate",
     "validate_bruteforce",
     "normalize",
-    "admissible_normal_forms",
     "cohomology_presentation",
     "graded_ranks",
     "kernel_lattice",
@@ -91,10 +90,6 @@ class CharPair(NamedTuple):
         if not all(isinstance(x, int) and not isinstance(x, bool) for x in a + b):
             raise ValueError("a and b must contain integers")
         return cls.make(n, m, a, b)
-
-    def swapped(self) -> "CharPair":
-        """The same data read over the factor-swapped polytope."""
-        return CharPair(self.m, self.n, self.b, self.a)
 
     @property
     def orientation(self) -> str:
@@ -307,13 +302,6 @@ def kernel_lattice(cp: CharPair) -> LatticeBasis:
     return kernel_basis(characteristic_matrix_grouped(cp).to_rows())
 
 
-def _check_grid(n: int, m: int, bound: int) -> None:
-    if m < 1 or n < m:
-        raise ValueError("need n >= m >= 1")
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
-
-
 def _bott_vectors(length: int, bound: int) -> Iterable[Tuple[int, ...]]:
     """Every nonzero entry multiset with entries in [-bound, bound], sorted
     by ``_canonical_sort`` and kept only at the sign ``_canonical_sign``
@@ -326,41 +314,3 @@ def _bott_vectors(length: int, bound: int) -> Iterable[Tuple[int, ...]]:
         tie = v[0] + v[length - 1 - v.count(0)]
         if v[0] and (tie > 0 or tie == 0 and v >= _negated_sort(v)):
             yield v
-
-
-def _run_forms(n: int, m: int, bound: int, top_q: int, top_p: int) -> Iterable[CharPair]:
-    """The run forms of ``admissible_normal_forms`` (the non-Bott ones) with
-    1 <= q <= top_q and 1 <= p <= top_p; none when bound < 2."""
-    if bound < 2:
-        return
-    for alpha, beta in ((2, 1), (1, 2)) if n > m else ((2, 1),):
-        for q in range(1, top_q + 1):
-            a = (alpha,) * q + (0,) * (m - q)
-            for p in range(1, top_p + 1):
-                yield CharPair(n, m, a, (beta,) * p + (0,) * (n - p))
-
-
-def admissible_normal_forms(n: int, m: int, bound: int) -> Iterable[CharPair]:
-    """The normal form of every valid pair with entries in [-bound, bound],
-    each exactly once, as the pair ``normalize`` returns.  Needs n >= m, the
-    order every normal form has.
-
-    Since every a_j * b_i lies in {0, 2}, a normal form has one of three
-    shapes: the zero pair; one vector zero and the other a nonzero multiset
-    at its chosen sign; or the runs alpha^q 0^(m-q) and beta^p 0^(n-p) with
-    (alpha, beta) in {(1, 2), (2, 1)}, which ``normalize`` reaches by the
-    forced global flip.  Over a square base the nonzero vector of a Bott
-    form and the value-2 run sit in ``a``, so the b-side shapes are absent.
-
-    Raises:
-        ValueError: when n < m, m < 1 or bound < 0 (on first iteration).
-    """
-    _check_grid(n, m, bound)
-    zero_a, zero_b = (0,) * m, (0,) * n
-    yield CharPair(n, m, zero_a, zero_b)
-    for a in _bott_vectors(m, bound):
-        yield CharPair(n, m, a, zero_b)
-    if n > m:
-        for b in _bott_vectors(n, bound):
-            yield CharPair(n, m, zero_a, b)
-    yield from _run_forms(n, m, bound, m, n)

@@ -1,14 +1,63 @@
-"""References shared by the tests: the filtered listing that
-``admissible_normal_forms`` must reproduce, the two-branch decision of the
-truncated-product equivalence that ``tilde_canonical`` must agree with, and
-a two-product ``tilde_canonical``, whose series the package's must equal.
-The last two run on this module's own full-length series kernel, so they
-share no code with the package's."""
+"""References shared by the tests: the normal forms of every valid pair
+within a bound, built from their shapes, and the filtered listing they must
+reproduce; the two-branch decision of the truncated-product equivalence
+that ``tilde_canonical`` must agree with, and a two-product
+``tilde_canonical``, whose series the package's must equal; and two small
+constructors the package does not need.  The truncated-product references
+run on this module's own full-length series kernel, so they share no code
+with the package's."""
 
 import itertools
-from typing import Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
-from qtoric.quasitoric import CharPair, validate
+from qtoric.classify import _check_grid
+from qtoric.polyring import HomogPoly
+from qtoric.quasitoric import CharPair, _bott_vectors, validate
+
+
+def from_coeffs(coeffs: Sequence[int]) -> HomogPoly:
+    """A ``HomogPoly`` from any integer sequence, checked to be nonempty."""
+    c = tuple(int(x) for x in coeffs)
+    if not c:
+        raise ValueError("degree must be nonnegative")
+    return HomogPoly(c)
+
+
+def swapped(cp: CharPair) -> CharPair:
+    """The same data read over the factor-swapped polytope."""
+    return CharPair(cp.m, cp.n, cp.b, cp.a)
+
+
+def admissible_normal_forms(n: int, m: int, bound: int) -> Iterable[CharPair]:
+    """The normal form of every valid pair with entries in [-bound, bound],
+    each exactly once, as the pair ``normalize`` returns.  Needs n >= m, the
+    order every normal form has.
+
+    Since every a_j * b_i lies in {0, 2}, a normal form has one of three
+    shapes: the zero pair; one vector zero and the other a nonzero multiset
+    at its chosen sign; or the runs alpha^q 0^(m-q) and beta^p 0^(n-p) with
+    (alpha, beta) in {(1, 2), (2, 1)}, which ``normalize`` reaches by the
+    forced global flip.  Over a square base the nonzero vector of a Bott
+    form and the value-2 run sit in ``a``, so the b-side shapes are absent.
+
+    Raises:
+        ValueError: when n < m, m < 1 or bound < 0 (on first iteration).
+    """
+    _check_grid(n, m, bound)
+    zero_a, zero_b = (0,) * m, (0,) * n
+    yield CharPair(n, m, zero_a, zero_b)
+    for a in _bott_vectors(m, bound):
+        yield CharPair(n, m, a, zero_b)
+    if n > m:
+        for b in _bott_vectors(n, bound):
+            yield CharPair(n, m, zero_a, b)
+    if bound < 2:
+        return
+    for alpha, beta in ((2, 1), (1, 2)) if n > m else ((2, 1),):
+        for q in range(1, m + 1):
+            a = (alpha,) * q + (0,) * (m - q)
+            for p in range(1, n + 1):
+                yield CharPair(n, m, a, (beta,) * p + (0,) * (n - p))
 
 
 def filtered_admissible_pairs(n, m, bound):

@@ -215,11 +215,11 @@ def test_criterion_10_witness_suite():
     for n in range(1, 6):
         for a, b in ((1, 2), (2, 1)):
             u, u2, w = builtin_witness("repeat-fill", n=n, a=a, b=b)
-            assert witness_check(u, u2, w)
+            assert witness_check(u, u2, w, n)
     for family in ("fold-r", "fold-s"):
         for n in range(1, 5):
             for m in range(1, 5):
                 for s in range(1, m + 1):
                     for r in range(1, n + 1):
                         u, u2, w = builtin_witness(family, n=n, m=m, s=s, r=r)
-                        assert witness_check(u, u2, w), (family, n, m, s, r)
+                        assert witness_check(u, u2, w, n), (family, n, m, s, r)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtoric import cli
+from qtoric import classify, cli, oracle, quasitoric
 from qtoric.lattice import IntMatrix
 from qtoric.oracle import MonomialWitness, builtin_witness, ring_iso_search
 from qtoric.quasitoric import CharPair, cohomology_presentation
@@ -463,6 +463,19 @@ class TestWitnessCheck:
             cli.main(["witness-check", "--family", "bogus", "--n", "2"])
         assert exc.value.code == 2
 
+    def test_required_flags_match_builtin_witness(self):
+        # the front end's table lists exactly the families builtin_witness
+        # builds, and for each the parameters besides n it cannot do without
+        in_range = {"m": 2, "s": 1, "r": 1, "a": 1, "b": 2}
+        for family, params in cli.WITNESS_PARAMS.items():
+            given = {p: in_range[p] for p in params}
+            assert builtin_witness(family, 2, **given)
+            for p in params:
+                with pytest.raises(ValueError):
+                    builtin_witness(family, 2, **dict(given, **{p: None}))
+        with pytest.raises(ValueError, match="unknown witness family"):
+            builtin_witness("bogus", 2, **in_range)
+
 
 def _run_on_one_stream(argv, stdin_text, monkeypatch):
     # stdout and stderr share one buffer, so the order of report and
@@ -487,7 +500,8 @@ _FOLD_PAIRS = [
 class TestConsistencyFailure:
     """Exit 4: the full report goes to stdout first, then the message to
     stderr.  Each cross-check is made to disagree by replacing the oracle
-    or the closed form that the front end imported."""
+    or the closed form in the layer module that the command imports it
+    from when it runs."""
 
     @pytest.mark.parametrize(
         "fmt, report",
@@ -498,7 +512,7 @@ class TestConsistencyFailure:
         ids=["json", "tsv"],
     )
     def test_validate(self, monkeypatch, fmt, report):
-        monkeypatch.setattr(cli, "validate_bruteforce", lambda cp: False)
+        monkeypatch.setattr(quasitoric, "validate_bruteforce", lambda cp: False)
         code, text = _run_on_one_stream(
             ["validate", "-", "--format", fmt], json.dumps(_zero_pair(2, 1)), monkeypatch
         )
@@ -509,7 +523,7 @@ class TestConsistencyFailure:
 
     @pytest.mark.parametrize("fmt", ["json", "tsv"])
     def test_witness_check(self, monkeypatch, fmt):
-        monkeypatch.setattr(cli, "witness_check", lambda u, u_prime, witness: False)
+        monkeypatch.setattr(oracle, "witness_check", lambda u, u_prime, witness, n: False)
         argv = ["witness-check", "--family", "fold-r", "--n", "3", "--m", "2", "--s", "1", "--r", "1"]
         code, text = _run_on_one_stream(argv + ["--format", fmt], "", monkeypatch)
         assert code == 4
@@ -532,7 +546,7 @@ class TestConsistencyFailure:
             doubled = IntMatrix.from_rows([[2 * x for x in rows[0]]] + list(rows[1:]))
             return u, u_prime, MonomialWitness(doubled, t)
 
-        monkeypatch.setattr(cli, "builtin_witness", broken_witness)
+        monkeypatch.setattr(oracle, "builtin_witness", broken_witness)
         argv = ["witness-check", "--family", "fold-r", "--n", "3", "--m", "2", "--s", "1", "--r", "1"]
         code, text = _run_on_one_stream(argv + ["--format", fmt], "", monkeypatch)
         assert code == 4
@@ -547,7 +561,7 @@ class TestConsistencyFailure:
 
     @pytest.mark.parametrize("fmt", ["json", "tsv"])
     def test_oracle_iso_found_but_separated(self, monkeypatch, fmt):
-        monkeypatch.setattr(cli, "homeomorphic", lambda cp1, cp2: (False, "forced"))
+        monkeypatch.setattr(classify, "homeomorphic", lambda cp1, cp2: (False, "forced"))
         code, text = _run_on_one_stream(
             ["oracle-iso", "-", "--format", fmt], json.dumps(_FOLD_PAIRS), monkeypatch
         )

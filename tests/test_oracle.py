@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qtoric import oracle, quasitoric
+from qtoric.classify import homeomorphic
 from qtoric.lattice import IntMatrix
 from qtoric.oracle import (
     IsoVerdict,
@@ -24,7 +25,7 @@ from qtoric.oracle import (
 from qtoric.polyring import ideal_degree_lattice, substitute_linear
 from qtoric.quasitoric import CharPair, cohomology_presentation, kernel_span_vectors
 
-from pair_reference import filtered_admissible_pairs
+from pair_reference import filtered_admissible_pairs, swapped
 
 
 def _identity(k):
@@ -196,7 +197,7 @@ class TestRingSymmetries:
             p = cohomology_presentation(cp)
             negated = CharPair.make(cp.n, cp.m, [-x for x in cp.a], [-x for x in cp.b])
             dmax = max(cp.n, cp.m) + 1
-            for other, g in ((negated, self.FLIP), (cp.swapped(), self.SWAP)):
+            for other, g in ((negated, self.FLIP), (swapped(cp), self.SWAP)):
                 q = cohomology_presentation(other)
                 assert _ideals_match_through(p, q, g, dmax), (cp, other)
                 verdict = ring_iso_search(p, q, bound=1)
@@ -214,9 +215,10 @@ class TestRingSymmetries:
 
 def _certifies(s_rows, t_rows):
     """``witness_check`` on a certificate whose identity s*u = u'*t holds by
-    construction (u = t, u' = s), so only its conditions on s and t decide."""
+    construction (u = t, u' = s), so only its conditions on s and t decide;
+    n = 0 makes two blocks of one coordinate each, which may swap whole."""
     s, t = IntMatrix.from_rows(s_rows), IntMatrix.from_rows(t_rows)
-    return witness_check(t, s, MonomialWitness(s, t))
+    return witness_check(t, s, MonomialWitness(s, t), 0)
 
 
 class TestMonomialWitness:
@@ -240,30 +242,69 @@ class TestWitnessCheck:
     def test_identity_witness(self):
         u = weight_matrix(CharPair(2, 1, (1,), (2, 0)))
         w = MonomialWitness(_identity(5), _identity(2))
-        assert witness_check(u, u, w)
+        assert witness_check(u, u, w, 2)
 
     def test_dimension_mismatch(self):
         u = weight_matrix(CharPair(2, 1, (1,), (2, 0)))
         v = weight_matrix(CharPair(3, 1, (1,), (2, 0, 0)))
         w = MonomialWitness(_identity(5), _identity(2))
         with pytest.raises(ValueError):
-            witness_check(u, v, w)
+            witness_check(u, v, w, 2)
         with pytest.raises(ValueError):
-            witness_check(v, v, w)
+            witness_check(v, v, w, 3)
         with pytest.raises(ValueError):
-            witness_check(u, u, MonomialWitness(_identity(5), _identity(3)))
+            witness_check(u, u, MonomialWitness(_identity(5), _identity(3)), 2)
+        for n in (-1, 4):
+            # n + 1 must leave both blocks nonempty
+            with pytest.raises(ValueError):
+                witness_check(u, u, w, n)
 
     def test_non_square_signed_permutation(self):
         u = weight_matrix(CharPair(2, 1, (1,), (2, 0)))
         s = IntMatrix.from_rows([row[:4] for row in _identity(5).to_rows()])
         with pytest.raises(ValueError):
-            witness_check(u, u, MonomialWitness(s, _identity(2)))
+            witness_check(u, u, MonomialWitness(s, _identity(2)), 2)
 
     def test_wrong_witness_fails(self):
         u = weight_matrix(CharPair(2, 1, (1,), (2, 0)))
         v = weight_matrix(CharPair(2, 1, (1,), (2, 2)))
         w = MonomialWitness(_identity(5), _identity(2))
-        assert not witness_check(u, v, w)
+        assert not witness_check(u, v, w, 2)
+
+    def test_rejects_certificate_mixing_the_factors(self):
+        # not homeomorphic, yet s is a signed permutation, det t = 1 and
+        # s*u = u'*t: only the blocks reject it, as s moves coordinates
+        # between the two factors
+        p = CharPair(1, 2, (-2, -1), (0,))
+        q = CharPair(1, 2, (-1, -1), (-2,))
+        assert homeomorphic(p, q) == (False, "bott-cross-base")
+        rows = [[0] * 5 for _ in range(5)]
+        for i, (j, sign) in enumerate(zip((2, 4, 0, 1, 3), (1, -1, 1, 1, -1))):
+            rows[i][j] = sign
+        s, t = IntMatrix.from_rows(rows), IntMatrix.from_rows([[0, -1], [1, -1]])
+        u, u_prime = weight_matrix(p), weight_matrix(q)
+
+        def times(x, y):
+            cols = list(zip(*y.to_rows()))
+            return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in x.to_rows()]
+
+        assert times(s, u) == times(u_prime, t)
+        assert not witness_check(u, u_prime, MonomialWitness(s, t), 1)
+
+    def test_blocks_of_one_size_may_swap_whole(self):
+        cp = CharPair(2, 2, (1, 0), (2, 0))
+        u, u_prime = weight_matrix(cp), weight_matrix(swapped(cp))
+        swap = IntMatrix.from_rows([[int(j == (i + 3) % 6) for j in range(6)] for i in range(6)])
+        w = MonomialWitness(swap, IntMatrix.from_rows([[0, 1], [1, 0]]))
+        assert witness_check(u, u_prime, w, 2)
+        # the same permutation read with blocks of sizes 2 and 4 mixes them
+        assert not witness_check(u, u_prime, w, 1)
+        # over a square base, moving one coordinate to the other block is no
+        # swap, even where the identity holds: rows 0 and 2 are equal here
+        v = weight_matrix(CharPair(1, 1, (1,), (1,)))
+        s = IntMatrix.from_rows([[0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]])
+        assert v.to_rows()[0] == v.to_rows()[2]
+        assert not witness_check(v, v, MonomialWitness(s, _identity(2)), 1)
 
 
 class TestWeightMatrix:
@@ -283,29 +324,29 @@ class TestBuiltinWitness:
     def test_repeat_fill_documented_case(self):
         u, u2, w = builtin_witness("repeat-fill", n=2, a=1, b=2)
         assert u.to_rows() == ((1, 2), (1, 0), (1, 0), (1, 1), (0, 1))
-        assert witness_check(u, u2, w)
+        assert witness_check(u, u2, w, 2)
 
     def test_repeat_fill_other_orientation(self):
         u, u2, w = builtin_witness("repeat-fill", n=2, a=2, b=1)
-        assert witness_check(u, u2, w)
+        assert witness_check(u, u2, w, 2)
 
     def test_fold_r_documented_case(self):
         u, u2, w = builtin_witness("fold-r", n=3, m=2, s=1, r=1)
-        assert witness_check(u, u2, w)
+        assert witness_check(u, u2, w, 3)
         assert w.t == IntMatrix.from_rows([[1, 1], [0, -1]])
         # callers read every part of a certificate through to_rows()
         assert all(isinstance(x, IntMatrix) for x in (u, u2, w.s, w.t))
 
     def test_fold_s_documented_case(self):
         u, u2, w = builtin_witness("fold-s", n=2, m=3, s=1, r=1)
-        assert witness_check(u, u2, w)
+        assert witness_check(u, u2, w, 2)
         assert w.t == IntMatrix.from_rows([[-1, 0], [2, 1]])
 
     def test_repeat_fill_grid(self):
         for n in range(1, 6):
             for a, b in ((1, 2), (2, 1), (-1, -2), (-2, -1)):
                 u, u2, w = builtin_witness("repeat-fill", n=n, a=a, b=b)
-                assert witness_check(u, u2, w)
+                assert witness_check(u, u2, w, n)
 
     def test_fold_grids(self):
         for family in ("fold-r", "fold-s"):
@@ -314,7 +355,7 @@ class TestBuiltinWitness:
                     for s in range(1, m + 1):
                         for r in range(1, n + 1):
                             u, u2, w = builtin_witness(family, n=n, m=m, s=s, r=r)
-                            assert witness_check(u, u2, w)
+                            assert witness_check(u, u2, w, n)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

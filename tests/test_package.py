@@ -1,7 +1,8 @@
 """The package surface: every exported name resolves, each is declared in
-exactly one layer module, no module imports a name it does not use, the
-value types are immutable, and the command front end starts without the
-heavy standard-library modules."""
+exactly one layer module and used outside the tests, no module imports a
+name it does not use, the value types are immutable, and each command
+starts without the layers it does not run or the heavy standard-library
+modules."""
 
 import ast
 import importlib
@@ -28,13 +29,14 @@ def test_exported_names_resolve(module):
 
 
 def test_layer_exports_are_disjoint_and_unique():
-    # the package star-imports the layers, so a name declared twice would
-    # silently shadow the earlier one
+    # the package resolves each name through one static table, which must
+    # name every layer export under its own layer, and a name declared
+    # twice would be reachable from only one of them
     exports = {s: set(importlib.import_module("qtoric." + s).__all__) for s in LAYERS}
     for (s1, e1), (s2, e2) in itertools.combinations(exports.items(), 2):
         assert e1.isdisjoint(e2), (s1, s2, e1 & e2)
-    assert len(qtoric.__all__) == len(set(qtoric.__all__))
-    assert set(qtoric.__all__) == set().union(*exports.values()) | {"__version__"}
+    assert qtoric._LAYER_OF == {name: s for s, names in exports.items() for name in names}
+    assert qtoric.__all__ == list(qtoric._LAYER_OF)
 
 
 def _unused_imports(path):
@@ -50,12 +52,40 @@ def _unused_imports(path):
 
 
 def test_no_unused_imports():
-    # the package's own star imports are its exports, so it is left out
     root = Path(__file__).resolve().parents[1]
-    paths = [p for p in Path(qtoric.__file__).parent.glob("*.py") if p.name != "__init__.py"]
+    paths = list(Path(qtoric.__file__).parent.glob("*.py"))
     paths += list(root.glob("tests/*.py")) + list(root.glob("demos/*.py"))
     unused = {f"{p.parent.name}/{p.name}": _unused_imports(p) for p in paths}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def _uses_outside_definitions(tree, names):
+    """The names among ``names`` that ``tree`` reads, as a name or an
+    attribute, other than inside the function or class defining that same
+    name."""
+    used = set()
+    stack = [(tree, frozenset())]
+    while stack:
+        node, inside = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        read = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if read in names and read not in inside and isinstance(node.ctx, ast.Load):
+            used.add(read)
+        stack.extend((child, inside) for child in ast.iter_child_nodes(node))
+    return used
+
+
+def test_every_export_is_used_outside_the_tests():
+    # a public name that only tests call is test code compiled by every
+    # process; it belongs in the tests
+    root = Path(__file__).resolve().parents[1]
+    names = set(qtoric.__all__)
+    used = set()
+    for folder in ("src", "bench", "demos"):
+        for path in (root / folder).rglob("*.py"):
+            used |= _uses_outside_definitions(ast.parse(path.read_text()), names)
+    assert sorted(names - used) == []
 
 
 _IDENTITY = qtoric.IntMatrix(2, 2, (1, 0, 0, 1))
@@ -81,14 +111,65 @@ def test_value_types_are_immutable(value, field):
         value.extra = 0
 
 
-def test_cli_startup_skips_dataclasses():
-    # -S leaves out the site hooks, which may import anything themselves;
-    # the package's own imports decide what is loaded
+# what a fresh interpreter loads: -S leaves out the site hooks, which may
+# import anything themselves, so the package's own imports decide
+_STARTUP = """
+import io, runpy, sys
+sys.argv = ["qtoric"] + sys.argv[1:]
+sys.stdin = io.StringIO('{"n": 2, "m": 1, "a": [2], "b": [1, 0]}')
+sys.stdout = io.StringIO()
+try:
+    runpy.run_module("qtoric", run_name="__main__")
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+sys.stdout = sys.__stdout__
+print(" ".join(sorted(m for m in sys.modules if m.startswith("qtoric"))))
+"""
+
+
+def _loaded(code, *argv):
     src = str(Path(qtoric.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import qtoric.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     result = subprocess.run(
-        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env
+        [sys.executable, "-S", "-c", code, *argv], capture_output=True, text=True, env=env
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    return result.stdout
+
+
+def test_cli_startup_skips_dataclasses():
+    code = "import qtoric.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    assert _loaded(code) == "[]\n"
+
+
+def test_package_import_loads_no_layer():
+    # the exports are listed before any is loaded, and a layer module
+    # resolves on first access too
+    code = (
+        "import qtoric, sys; print(sorted(m for m in sys.modules if 'qtoric' in m)); "
+        "print(set(qtoric.__all__) <= set(dir(qtoric)), qtoric.oracle.__name__)"
+    )
+    assert _loaded(code) == "['qtoric']\nTrue qtoric.oracle\n"
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (["count", "--n", "3", "--m", "3"], "qtoric.oracle"),
+        (["validate"], "qtoric.classify"),
+        (["kernel"], "qtoric.classify"),
+        (["cohomology"], "qtoric.classify"),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else v,
+)
+def test_command_loads_only_its_layers(argv, absent):
+    loaded = _loaded(_STARTUP, *argv).split()
+    assert "qtoric.cli" in loaded and absent not in loaded
+
+
+def test_first_access_caches_the_name():
+    code = (
+        "import qtoric; assert 'validate' not in vars(qtoric); v = qtoric.validate; "
+        "print(vars(qtoric)['validate'] is v is qtoric.quasitoric.validate)"
+    )
+    assert _loaded(code) == "True\n"

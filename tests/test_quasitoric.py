@@ -12,7 +12,6 @@ from qtoric.polyring import HomogPoly, ideal_degree_lattice
 from qtoric.quasitoric import (
     CharPair,
     Presentation,
-    admissible_normal_forms,
     characteristic_matrix_grouped,
     cohomology_presentation,
     graded_ranks,
@@ -24,7 +23,7 @@ from qtoric.quasitoric import (
     validate_bruteforce,
 )
 
-from pair_reference import filtered_admissible_pairs
+from pair_reference import admissible_normal_forms, filtered_admissible_pairs, from_coeffs, swapped
 
 
 def cp(n, m, a, b):
@@ -63,7 +62,7 @@ random_presentations = st.integers(1, 3).flatmap(
         lambda m: st.tuples(
             st.lists(st.integers(-4, 4), min_size=n + 2, max_size=n + 2),
             st.lists(st.integers(-4, 4), min_size=m + 2, max_size=m + 2),
-        ).map(lambda t: Presentation(HomogPoly.from_coeffs(t[0]), HomogPoly.from_coeffs(t[1])))
+        ).map(lambda t: Presentation(from_coeffs(t[0]), from_coeffs(t[1])))
     )
 )
 
@@ -161,7 +160,7 @@ class TestNormalize:
     def test_factor_swap_behavior(self, pair):
         # both reads have one normal form; over a square base the side with
         # the twist or the value-2 entries goes first
-        assert normalize(pair.swapped()) == normalize(pair)
+        assert normalize(swapped(pair)) == normalize(pair)
 
 
 class TestBottDetection:
@@ -184,7 +183,7 @@ class TestBottDetection:
         flipped = cp(pair.n, pair.m, [-x for x in a], [-x for x in b])
         assert flipped.orientation == pair.orientation
         mirror = {"a2": "b2", "b2": "a2", "bott": "bott"}[pair.orientation]
-        assert pair.swapped().orientation == mirror
+        assert swapped(pair).orientation == mirror
         assert normalize(pair).orientation in (pair.orientation, mirror)
 
 
