@@ -18,9 +18,9 @@ from qtoric import builtin_witness, witness_check
 # slot.  Source twists (b, 0), target twists (b, b).
 u, u_prime, w = builtin_witness("repeat-fill", n=2, a=1, b=2)
 print("repeat-fill weight matrices (rows = coordinates):")
-print("  source:", u.to_rows())
-print("  target:", u_prime.to_rows())
-print("  T =", w.t.to_rows())
+print("  source:", u.rows)
+print("  target:", u_prime.rows)
+print("  T =", w.t.rows)
 print("  identity holds:", witness_check(u, u_prime, w, 2))
 
 # Family 2: the r-fold. The class (s, r) maps onto (s, n+1-r) by cycling

@@ -3,12 +3,14 @@ simplices (second Betti number 2), with integer-lattice and polynomial
 machinery, closed-form homeomorphism decisions, and independent brute-force
 oracles.
 
-The package exports the public names of its five library layers, each
-declared once, in its module's ``__all__``.  Importing the package loads
-no layer: the first access to an exported name imports the layer that
-declares it and stores the name here, so later accesses are plain
-attribute reads.  A layer module itself, ``qtoric.oracle`` say, is loaded
-the same way."""
+The package exports the public names of its five library layers.  Each
+layer declares its names in its ``__all__``, and the table ``_LAYER_OF``
+below mirrors those lists, name by name; the test
+``test_layer_exports_are_disjoint_and_unique`` keeps the two equal.
+Importing the package loads no layer: the first access to an exported
+name imports the layer that declares it and stores the name here, so
+later accesses are plain attribute reads.  A layer module itself,
+``qtoric.oracle`` say, is loaded the same way."""
 
 import sys
 

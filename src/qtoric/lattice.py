@@ -12,8 +12,9 @@ so no fixed-width arithmetic is ever used.
 Conventions
 -----------
 * A matrix is a sequence of equal-length integer rows, and the routines
-  that take rows check their shape themselves.  :class:`IntMatrix`, dense
-  and row-major, is the matrix value handed out to callers.
+  that take rows check their shape themselves.  :class:`IntMatrix`, the
+  matrix value handed out to callers, holds such rows as a tuple of
+  tuples, so callers pass its ``rows`` on as they are.
 * Other outside data enters through the checked constructors
   :meth:`IntMatrix.from_rows` and :func:`lattice_from_generators`; the raw
   constructors check nothing and are for data consistent by construction.
@@ -43,20 +44,16 @@ __all__ = [
 
 
 class IntMatrix(NamedTuple):
-    """A dense integer matrix with row-major entry storage.
+    """A dense integer matrix, held as its rows.
 
     :meth:`from_rows` is the checked constructor; the raw constructor does
-    not check its arguments.
+    not check its argument.
 
     Attributes:
-        rows: number of rows (>= 0).
-        cols: number of columns (>= 0).
-        entries: flat tuple of length rows*cols, row-major.
+        rows: a nonempty tuple of equal-length tuples of integers.
     """
 
-    rows: int
-    cols: int
-    entries: Tuple[int, ...]
+    rows: Tuple[Tuple[int, ...], ...]
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> "IntMatrix":
@@ -67,15 +64,13 @@ class IntMatrix(NamedTuple):
         width = len(row_list[0])
         if any(len(r) != width for r in row_list):
             raise ValueError("rows have unequal lengths")
-        flat = tuple(x for r in row_list for x in r)
-        return cls(len(row_list), width, flat)
+        return cls(tuple(row_list))
 
     def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
+        return self.rows[i][j]
 
     def to_rows(self) -> Tuple[Tuple[int, ...], ...]:
-        c = self.cols
-        return tuple(self.entries[i * c : (i + 1) * c] for i in range(self.rows))
+        return self.rows
 
 
 class LatticeBasis(NamedTuple):

@@ -34,7 +34,7 @@ classify module, and no verification is faked for them here.
 from __future__ import annotations
 
 import functools
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .lattice import IntMatrix, is_basis_extendable
 from .polyring import ideal_degree_lattice, substitute_linear
@@ -69,7 +69,7 @@ class IsoVerdict(NamedTuple):
         if self.found:
             return {
                 "found": True,
-                "matrix": [list(row) for row in self.matrix.to_rows()],
+                "matrix": [list(row) for row in self.matrix.rows],
             }
         return {"found": False, "bound": self.bound}
 
@@ -88,8 +88,8 @@ class MonomialWitness(NamedTuple):
 
     def to_json_dict(self) -> Dict[str, object]:
         return {
-            "s": [list(row) for row in self.s.to_rows()],
-            "t": [list(row) for row in self.t.to_rows()],
+            "s": [list(row) for row in self.s.rows],
+            "t": [list(row) for row in self.t.rows],
         }
 
 
@@ -148,7 +148,7 @@ def ring_iso_search(p: Presentation, q: Presentation, bound: int = 3) -> IsoVerd
         if target[first.degree].contains(first.coeffs):
             image = (first, substitute_linear(high, g))
             if all(ideal_degree_lattice(image, d) == piece for d, piece in target.items()):
-                return IsoVerdict(matrix=IntMatrix(2, 2, g[0] + g[1]))
+                return IsoVerdict(matrix=IntMatrix(g))
     return IsoVerdict(bound=bound)
 
 
@@ -160,10 +160,10 @@ def weight_matrix(cp: CharPair) -> IntMatrix:
     return IntMatrix.from_rows([[u[i], v[i]] for i in range(len(u))])
 
 
-def _product(x: IntMatrix, y: IntMatrix) -> List[List[int]]:
-    """Rows of the exact product x*y, for x.cols == y.rows."""
-    y_cols = list(zip(*y.to_rows()))
-    return [[sum(a * b for a, b in zip(row, col)) for col in y_cols] for row in x.to_rows()]
+def _product(x: Sequence[Sequence[int]], y: Sequence[Sequence[int]]) -> List[List[int]]:
+    """Rows of the exact product of the matrices with rows x and y."""
+    y_cols = list(zip(*y))
+    return [[sum(a * b for a, b in zip(row, col)) for col in y_cols] for row in x]
 
 
 def witness_check(u: IntMatrix, u_prime: IntMatrix, witness: MonomialWitness, n: int) -> bool:
@@ -179,18 +179,19 @@ def witness_check(u: IntMatrix, u_prime: IntMatrix, witness: MonomialWitness, n:
             not 2x2, or n + 1 not splitting the height into two nonempty
             blocks.
     """
-    if u.cols != 2 or u_prime.cols != 2:
+    if len(u.rows[0]) != 2 or len(u_prime.rows[0]) != 2:
         raise ValueError("weight matrices must have two columns")
-    if u.rows != u_prime.rows:
+    height = len(u.rows)
+    if len(u_prime.rows) != height:
         raise ValueError("weight matrices must have equal height")
     s, t = witness
-    if s.rows != u.rows or s.cols != u.rows:
+    if len(s.rows) != height or len(s.rows[0]) != height:
         raise ValueError("signed permutation must be square of the coordinate count")
-    if t.rows != 2 or t.cols != 2:
+    if len(t.rows) != 2 or len(t.rows[0]) != 2:
         raise ValueError("torus reparametrization must be 2x2")
-    if not 0 <= n <= u.rows - 2:
+    if not 0 <= n <= height - 2:
         raise ValueError("n + 1 must split the coordinates into two nonempty blocks")
-    rows = s.to_rows()
+    rows = s.rows
     # an integer row or column of absolute sum 1 holds one entry +-1
     if any(sum(map(abs, line)) != 1 for line in rows + tuple(zip(*rows))):
         return False
@@ -199,8 +200,8 @@ def witness_check(u: IntMatrix, u_prime: IntMatrix, witness: MonomialWitness, n:
     crossings = {(i > n) != (j > n) for i, row in enumerate(rows) for j, x in enumerate(row) if x}
     return (
         len(crossings) == 1
-        and is_basis_extendable(t.to_rows())
-        and _product(s, u) == _product(u_prime, t)
+        and is_basis_extendable(t.rows)
+        and _product(rows, u.rows) == _product(u_prime.rows, t.rows)
     )
 
 

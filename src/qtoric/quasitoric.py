@@ -273,11 +273,7 @@ def graded_ranks(p: Presentation) -> GradedRanks:
     for d in range(p.n + p.m + 1):
         lat = ideal_degree_lattice(p, d)
         ranks.append(d + 1 - lat.rank)
-        if lat.rank:
-            diag = smith_normal_form(lat.basis)
-            torsion.append(tuple(x for x in diag if x > 1))
-        else:
-            torsion.append(())
+        torsion.append(tuple(x for x in smith_normal_form(lat.basis) if x > 1))
     return GradedRanks(tuple(ranks), tuple(torsion))
 
 
@@ -299,7 +295,7 @@ def kernel_lattice(cp: CharPair) -> LatticeBasis:
     """
     if not validate(cp):
         raise ValueError("characteristic pair fails the validity condition")
-    return kernel_basis(characteristic_matrix_grouped(cp).to_rows())
+    return kernel_basis(characteristic_matrix_grouped(cp).rows)
 
 
 def _bott_vectors(length: int, bound: int) -> Iterable[Tuple[int, ...]]:

@@ -113,6 +113,14 @@ class TestValidate:
         assert out == ""
         assert err.startswith("error:")
 
+    def test_non_array_vector_rejected(self, capsys, monkeypatch):
+        doc = json.dumps({"n": 1, "m": 1, "a": 5, "b": [1]})
+        monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+        code, out, err = run_cli(["classify", "-"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.endswith("a and b must be arrays\n")
+
     def test_tsv(self, tmp_path, capsys):
         path = write_pair(tmp_path, "p.json", 2, 1, (2,), (1, 0))
         code, out, _ = run_cli(["validate", path, "--format", "tsv"], capsys)

@@ -226,6 +226,8 @@ class TestLatticeEqual:
         assert lat.contains((0, 0, 0))
         assert not lat.contains((1, 0, 0))
         assert not lat.contains((2, 1, 1))
+        with pytest.raises(ValueError, match="vector length differs from ambient dimension"):
+            lat.contains((2, 3))
 
 
 class TestExtendable:
@@ -267,6 +269,8 @@ def test_matrix_shape_validation():
     for check in (IntMatrix.from_rows, smith_normal_form, kernel_basis):
         with pytest.raises(ValueError, match="rows have unequal lengths"):
             check([[1, 2], [3]])
+    with pytest.raises(ValueError, match="vectors have unequal lengths"):
+        is_basis_extendable([[1, 2], [3]])
     # no rows leave the kernel's ambient dimension unknown
     with pytest.raises(ValueError, match="kernel needs at least one row"):
         kernel_basis([])

@@ -254,6 +254,9 @@ class TestWitnessCheck:
             witness_check(v, v, w, 3)
         with pytest.raises(ValueError):
             witness_check(u, u, MonomialWitness(_identity(5), _identity(3)), 2)
+        wide = IntMatrix.from_rows([row + (0,) for row in u.rows])
+        with pytest.raises(ValueError, match="weight matrices must have two columns"):
+            witness_check(wide, wide, w, 2)
         for n in (-1, 4):
             # n + 1 must leave both blocks nonempty
             with pytest.raises(ValueError):

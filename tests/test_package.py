@@ -88,10 +88,10 @@ def test_every_export_is_used_outside_the_tests():
     assert sorted(names - used) == []
 
 
-_IDENTITY = qtoric.IntMatrix(2, 2, (1, 0, 0, 1))
+_IDENTITY = qtoric.IntMatrix(((1, 0), (0, 1)))
 _PAIR = qtoric.CharPair(1, 1, (0,), (0,))
 _VALUES = [
-    (qtoric.IntMatrix(1, 1, (1,)), "entries"),
+    (qtoric.IntMatrix(((1,),)), "rows"),
     (qtoric.LatticeBasis(1, ((1,),)), "basis"),
     (qtoric.HomogPoly((1, 0)), "coeffs"),
     (_PAIR, "a"),
@@ -109,6 +109,22 @@ def test_value_types_are_immutable(value, field):
         setattr(value, field, getattr(value, field))
     with pytest.raises(AttributeError):
         value.extra = 0
+
+
+def _int_rows(rows):
+    return type(rows) is tuple and all(
+        type(r) is tuple and all(type(x) is int for x in r) for r in rows
+    )
+
+
+def test_matrix_api_the_benchmark_reads():
+    # the benchmark's tracer rewraps the classmethod it finds in the class
+    # dict, and its workloads and checks read certificates through to_rows()
+    assert isinstance(qtoric.IntMatrix.__dict__["from_rows"], classmethod)
+    p = qtoric.cohomology_presentation(qtoric.CharPair(2, 1, (2,), (1, 0)))
+    verdict = qtoric.ring_iso_search(p, p)
+    _, _, w = qtoric.builtin_witness("fold-r", n=2, m=2, s=1, r=1)
+    assert all(_int_rows(x) for x in (verdict.matrix.to_rows(), w.s.to_rows(), w.t.to_rows()))
 
 
 # what a fresh interpreter loads: -S leaves out the site hooks, which may

@@ -165,6 +165,8 @@ class TestSubstitute:
 class TestIdealDegreeLattice:
     def test_below_generator_degree(self):
         assert ideal_degree_lattice([from_coeffs((1, 0, 0))], 1).basis == ()
+        with pytest.raises(ValueError, match="degree must be nonnegative"):
+            ideal_degree_lattice([from_coeffs((1, 0, 0))], -1)
 
     def test_monomial_shifts(self):
         lat = ideal_degree_lattice([from_coeffs((1, 0, 0))], 3)

@@ -278,6 +278,10 @@ class TestKernelLattice:
         k = kernel_lattice(cp(2, 1, [2], [1, 0]))
         assert k.basis == ((1, 0, 0, 1, 1), (0, 1, 1, 1, -1))
 
+    def test_invalid_input_rejected(self):
+        with pytest.raises(ValueError):
+            kernel_lattice(cp(1, 1, [3], [1]))
+
     def test_product_block_pattern(self):
         k = kernel_lattice(cp(2, 2, [0, 0], [0, 0]))
         assert k == lattice_from_generators(6, [(1, 1, 1, 0, 0, 0), (0, 0, 0, 1, 1, 1)])
