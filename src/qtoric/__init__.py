@@ -3,20 +3,17 @@ simplices (second Betti number 2), with integer-lattice and polynomial
 machinery, closed-form homeomorphism decisions, and independent brute-force
 oracles.
 
-The package exports the public names of its five library layers.  Each
-layer declares its names in its ``__all__``, and the table ``_LAYER_OF``
-below mirrors those lists, name by name; the test
-``test_layer_exports_are_disjoint_and_unique`` keeps the two equal.
-Importing the package loads no layer: the first access to an exported
-name imports the layer that declares it and stores the name here, so
-later accesses are plain attribute reads.  A layer module itself,
-``qtoric.oracle`` say, is loaded the same way."""
+The package exports the public names of its five library layers.  The
+table ``_LAYER_OF`` below is the one list of them: it maps each exported
+name to the layer that defines it, and a test checks it against the
+public functions and classes each layer defines.  Importing the package
+loads no layer: the first access to an exported name imports its layer
+and stores the name here, so later accesses are plain attribute reads.
+A layer module itself, ``qtoric.oracle`` say, is loaded the same way."""
 
 import sys
 
-__version__ = "1.0.0"
-
-# the layer module that declares each exported name
+# the layer module that defines each exported name
 _LAYER_OF = {
     name: layer
     for layer, names in (

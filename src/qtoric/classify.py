@@ -47,17 +47,6 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .quasitoric import CharPair, _bott_vectors, normalize
 
-__all__ = [
-    "HomeoClass",
-    "tilde_canonical",
-    "canonical_class",
-    "same_class",
-    "homeomorphic",
-    "enumerate_classes",
-    "count_nonbott",
-    "is_nonbott_class",
-]
-
 _FAMILY_ORDER = {
     "product": 0,
     "bott-base-n": 1,

@@ -33,15 +33,6 @@ from __future__ import annotations
 import math
 from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
-__all__ = [
-    "IntMatrix",
-    "LatticeBasis",
-    "smith_normal_form",
-    "kernel_basis",
-    "is_basis_extendable",
-    "lattice_from_generators",
-]
-
 
 class IntMatrix(NamedTuple):
     """A dense integer matrix, held as its rows.

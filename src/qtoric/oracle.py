@@ -40,15 +40,6 @@ from .lattice import IntMatrix, is_basis_extendable
 from .polyring import ideal_degree_lattice, substitute_linear
 from .quasitoric import CharPair, Presentation, kernel_span_vectors
 
-__all__ = [
-    "IsoVerdict",
-    "MonomialWitness",
-    "ring_iso_search",
-    "weight_matrix",
-    "witness_check",
-    "builtin_witness",
-]
-
 
 class IsoVerdict(NamedTuple):
     """Outcome of the bounded isomorphism search.

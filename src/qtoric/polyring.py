@@ -24,13 +24,6 @@ from typing import NamedTuple, Sequence, Tuple
 
 from .lattice import LatticeBasis, lattice_from_generators
 
-__all__ = [
-    "HomogPoly",
-    "linear_product",
-    "substitute_linear",
-    "ideal_degree_lattice",
-]
-
 
 class HomogPoly(NamedTuple):
     """Homogeneous polynomial in Z[x1, x2].

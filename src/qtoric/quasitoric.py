@@ -33,21 +33,6 @@ from .lattice import (
 )
 from .polyring import HomogPoly, ideal_degree_lattice, linear_product
 
-__all__ = [
-    "CharPair",
-    "Presentation",
-    "GradedRanks",
-    "validate",
-    "validate_bruteforce",
-    "normalize",
-    "cohomology_presentation",
-    "graded_ranks",
-    "kernel_lattice",
-    "characteristic_matrix_grouped",
-    "kernel_span_vectors",
-    "h_vector",
-]
-
 
 class CharPair(NamedTuple):
     """Characteristic pair (n, m, a, b); a has length m and b has length n.
