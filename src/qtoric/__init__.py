@@ -25,8 +25,8 @@ _LAYER_OF = {
          " characteristic_matrix_grouped kernel_span_vectors h_vector"),
         ("classify", "HomeoClass tilde_canonical canonical_class same_class"
          " homeomorphic enumerate_classes count_nonbott is_nonbott_class"),
-        ("oracle", "IsoVerdict MonomialWitness ring_iso_search weight_matrix"
-         " witness_check builtin_witness"),
+        ("oracle", "IsoVerdict MonomialWitness ring_iso_search witness_check"
+         " builtin_witness"),
     )
     for name in names.split()
 }

@@ -326,7 +326,7 @@ def cmd_witness_check(args) -> _Outcome:
             % (args.family, ", ".join("--" + p for p in missing))
         )
     try:
-        u, u_prime, witness = builtin_witness(
+        source, target, witness = builtin_witness(
             args.family,
             n=args.n,
             m=args.m,
@@ -337,7 +337,7 @@ def cmd_witness_check(args) -> _Outcome:
         )
     except ValueError as exc:
         raise InvalidInputError(str(exc))
-    ok = witness_check(u, u_prime, witness, args.n)
+    ok = witness_check(source, target, witness)
     report = {
         "family": args.family,
         "ok": ok,

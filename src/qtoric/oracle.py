@@ -12,17 +12,19 @@ Two oracles, both exact:
   A negative answer is only "within bound":
   the closed-form classifier stays authoritative and the search acts as a
   falsifier.
-* ``witness_check``: verifies equivariance certificates, and is the one
-  place a certificate is checked.  A homeomorphism candidate given by a
-  signed permutation S of the moment-angle coordinates intertwines the two
-  free torus actions exactly when S * U = U' * T, where U and U' hold the
-  weight columns of the two subtorus inclusions and T, with |det T| = 1,
-  reparametrizes the acting torus on exponents.  S must also keep each
-  factor's block of coordinates together, or swap two blocks of one size
-  whole, since the moment-angle manifold is a product of one sphere per
-  factor; the check tests all four conditions.  ``builtin_witness``
-  reconstructs the three families of certificates behind the classifier's
-  equivalences (repeat-fill, fold-r, fold-s) so the identity can be
+* ``witness_check``: verifies equivariance certificates between two
+  characteristic pairs, and is the one place a certificate is checked.  A
+  homeomorphism candidate given by a signed permutation S of the
+  moment-angle coordinates intertwines the two free torus actions exactly
+  when S * U = U' * T, where U and U' hold the weight columns of the two
+  pairs' subtorus inclusions and T, with |det T| = 1, reparametrizes the
+  acting torus on exponents.  S must also keep each factor's block of
+  coordinates together, or swap two blocks of one size whole, since the
+  moment-angle manifold is a product of one sphere per factor; the check
+  reads the weights and the blocks from the pairs and tests all four
+  conditions.  ``builtin_witness`` reconstructs the three families of
+  certificates behind the classifier's equivalences (repeat-fill, fold-r,
+  fold-s) as (source pair, target pair, witness), so the identity can be
   rechecked by plain matrix multiplication.
 
 The witness formalism covers monomial maps only.  Homeomorphisms that mix
@@ -143,56 +145,47 @@ def ring_iso_search(p: Presentation, q: Presentation, bound: int = 3) -> IsoVerd
     return IsoVerdict(bound=bound)
 
 
-def weight_matrix(cp: CharPair) -> IntMatrix:
-    """The (n+m+2) x 2 exponent matrix of the free subtorus action: row i
-    holds the weights of the two acting circle factors on moment-angle
-    coordinate i."""
-    u, v = kernel_span_vectors(cp)
-    return IntMatrix.from_rows([[u[i], v[i]] for i in range(len(u))])
-
-
 def _product(x: Sequence[Sequence[int]], y: Sequence[Sequence[int]]) -> List[List[int]]:
     """Rows of the exact product of the matrices with rows x and y."""
     y_cols = list(zip(*y))
     return [[sum(a * b for a, b in zip(row, col)) for col in y_cols] for row in x]
 
 
-def witness_check(u: IntMatrix, u_prime: IntMatrix, witness: MonomialWitness, n: int) -> bool:
-    """True iff the certificate holds whole: s is a signed permutation that
-    keeps the first factor's n + 1 coordinates and the second factor's
-    together, or swaps the two blocks whole when they have one size,
-    |det t| = 1, and s*u = u'*t, so that s intertwines the two subtorus
-    actions through the reparametrization t.
+def witness_check(source: CharPair, target: CharPair, witness: MonomialWitness) -> bool:
+    """True iff the certificate maps ``source`` onto ``target`` whole: s is
+    a signed permutation of the n + m + 2 coordinates that keeps the first
+    factor's n + 1 coordinates and the second factor's together, or swaps
+    the two blocks whole when they have one size, |det t| = 1, and
+    s*u = u'*t, where u and u' hold the two pairs' weight columns, so that
+    s intertwines the two subtorus actions through the reparametrization t.
 
     Raises:
-        ValueError: on dimension mismatch: weight matrices without two
-            columns or of unequal heights, s not square of their height, t
-            not 2x2, or n + 1 not splitting the height into two nonempty
-            blocks.
+        ValueError: on dimension mismatch: the pairs over different (n, m),
+            a row of s not of the coordinate count n + m + 2 or s not square,
+            or t not 2x2.
     """
-    if len(u.rows[0]) != 2 or len(u_prime.rows[0]) != 2:
-        raise ValueError("weight matrices must have two columns")
-    height = len(u.rows)
-    if len(u_prime.rows) != height:
-        raise ValueError("weight matrices must have equal height")
+    n, m = source.n, source.m
+    if (target.n, target.m) != (n, m):
+        raise ValueError("pairs must lie over the same (n, m)")
+    height = n + m + 2
     s, t = witness
-    if len(s.rows) != height or len(s.rows[0]) != height:
-        raise ValueError("signed permutation must be square of the coordinate count")
-    if len(t.rows) != 2 or len(t.rows[0]) != 2:
-        raise ValueError("torus reparametrization must be 2x2")
-    if not 0 <= n <= height - 2:
-        raise ValueError("n + 1 must split the coordinates into two nonempty blocks")
     rows = s.rows
+    if len(rows) != height or any(len(row) != height for row in rows):
+        raise ValueError("signed permutation must be square of the coordinate count")
+    if len(t.rows) != 2 or any(len(row) != 2 for row in t.rows):
+        raise ValueError("torus reparametrization must be 2x2")
     # an integer row or column of absolute sum 1 holds one entry +-1
     if any(sum(map(abs, line)) != 1 for line in rows + tuple(zip(*rows))):
         return False
     # coordinate i reads coordinate j: every i changes block (a whole swap,
     # possible only for blocks of one size) or none does
     crossings = {(i > n) != (j > n) for i, row in enumerate(rows) for j, x in enumerate(row) if x}
+    # row i of a weight matrix holds the two circle weights on coordinate i
+    u, u_prime = (tuple(zip(*kernel_span_vectors(cp))) for cp in (source, target))
     return (
         len(crossings) == 1
         and is_basis_extendable(t.rows)
-        and _product(rows, u.rows) == _product(u_prime.rows, t.rows)
+        and _product(rows, u) == _product(u_prime, t.rows)
     )
 
 
@@ -214,9 +207,9 @@ def builtin_witness(
     r: Optional[int] = None,
     a: Optional[int] = None,
     b: Optional[int] = None,
-) -> Tuple[IntMatrix, IntMatrix, MonomialWitness]:
+) -> Tuple[CharPair, CharPair, MonomialWitness]:
     """Reconstruct one of the three certificate families as
-    (source weights, target weights, witness).
+    (source pair, target pair, witness).
 
     repeat-fill (m = 1): the segment-factor bundle with a single twist entry
         b maps onto the one with every entry equal to b.  Needs n, a, b with
@@ -229,12 +222,14 @@ def builtin_witness(
         range; cycles the second block by s and conjugates the w-coordinates
         after position r.
 
-    Every triple returned here passes ``witness_check`` at the same n; the
-    test suite reverifies that by direct matrix multiplication.
+    Every triple returned here passes ``witness_check``; the test suite
+    reverifies that by direct matrix multiplication.
 
     Raises:
         ValueError: unknown family or parameters outside the stated range.
     """
+    if family not in ("repeat-fill", "fold-r", "fold-s"):
+        raise ValueError("unknown witness family: %r" % (family,))
     if family == "repeat-fill":
         if a is None or b is None or n < 1:
             raise ValueError("repeat-fill needs n >= 1 and entries a, b")
@@ -242,44 +237,30 @@ def builtin_witness(
             raise ValueError("repeat-fill requires a*b = 2")
         source = CharPair(n, 1, (a,), (b,) + (0,) * (n - 1))
         target = CharPair(n, 1, (a,), (b,) * n)
-        size = n + 3
         mapping = {0: (n, 1), n: (0, 1), n + 2: (n + 2, -1)}
-        s_mat = _signed_permutation(size, mapping)
-        t_mat = IntMatrix.from_rows([[1, b], [0, -1]])
-        return (
-            weight_matrix(source),
-            weight_matrix(target),
-            MonomialWitness(s_mat, t_mat),
-        )
-    if family not in ("fold-r", "fold-s"):
-        raise ValueError("unknown witness family: %r" % (family,))
-    if m is None or s is None or r is None:
-        raise ValueError("fold witnesses need n, m, s, r")
-    if not (1 <= s <= m and 1 <= r <= n):
-        raise ValueError("fold parameters outside range")
-    source = CharPair(n, m, (2,) * s + (0,) * (m - s), (1,) * r + (0,) * (n - r))
-    size = n + m + 2
-    if family == "fold-r":
-        r2 = n + 1 - r
-        target = CharPair(n, m, source.a, (1,) * r2 + (0,) * (n - r2))
-        mapping = {}
-        for i in range(n + 1):
-            mapping[i] = ((i + r) % (n + 1), 1)
-        for j in range(s, m + 1):
-            mapping[n + 1 + j] = (n + 1 + j, -1)
-        t_mat = IntMatrix.from_rows([[1, 1], [0, -1]])
+        t_rows = [[1, b], [0, -1]]
     else:
-        s2 = m + 1 - s
-        target = CharPair(n, m, (2,) * s2 + (0,) * (m - s2), source.b)
+        if m is None or s is None or r is None:
+            raise ValueError("fold witnesses need n, m, s, r")
+        if not (1 <= s <= m and 1 <= r <= n):
+            raise ValueError("fold parameters outside range")
+        source = CharPair(n, m, (2,) * s + (0,) * (m - s), (1,) * r + (0,) * (n - r))
         mapping = {}
-        for i in range(r, n + 1):
-            mapping[i] = (i, -1)
-        for j in range(m + 1):
-            mapping[n + 1 + j] = (n + 1 + (j + s) % (m + 1), 1)
-        t_mat = IntMatrix.from_rows([[-1, 0], [2, 1]])
-    s_mat = _signed_permutation(size, mapping)
-    return (
-        weight_matrix(source),
-        weight_matrix(target),
-        MonomialWitness(s_mat, t_mat),
-    )
+        if family == "fold-r":
+            r2 = n + 1 - r
+            target = CharPair(n, m, source.a, (1,) * r2 + (0,) * (n - r2))
+            for i in range(n + 1):
+                mapping[i] = ((i + r) % (n + 1), 1)
+            for j in range(s, m + 1):
+                mapping[n + 1 + j] = (n + 1 + j, -1)
+            t_rows = [[1, 1], [0, -1]]
+        else:
+            s2 = m + 1 - s
+            target = CharPair(n, m, (2,) * s2 + (0,) * (m - s2), source.b)
+            for i in range(r, n + 1):
+                mapping[i] = (i, -1)
+            for j in range(m + 1):
+                mapping[n + 1 + j] = (n + 1 + (j + s) % (m + 1), 1)
+            t_rows = [[-1, 0], [2, 1]]
+    s_mat = _signed_permutation(source.n + source.m + 2, mapping)
+    return source, target, MonomialWitness(s_mat, IntMatrix.from_rows(t_rows))

@@ -213,13 +213,12 @@ def test_criterion_09_structural_invariants():
 
 def test_criterion_10_witness_suite():
     for n in range(1, 6):
-        for a, b in ((1, 2), (2, 1)):
-            u, u2, w = builtin_witness("repeat-fill", n=n, a=a, b=b)
-            assert witness_check(u, u2, w, n)
+        for a, b in ((1, 2), (2, 1), (-1, -2), (-2, -1)):
+            assert witness_check(*builtin_witness("repeat-fill", n=n, a=a, b=b)), (n, a, b)
     for family in ("fold-r", "fold-s"):
         for n in range(1, 5):
             for m in range(1, 5):
                 for s in range(1, m + 1):
                     for r in range(1, n + 1):
-                        u, u2, w = builtin_witness(family, n=n, m=m, s=s, r=r)
-                        assert witness_check(u, u2, w, n), (family, n, m, s, r)
+                        certificate = builtin_witness(family, n=n, m=m, s=s, r=r)
+                        assert witness_check(*certificate), (family, n, m, s, r)

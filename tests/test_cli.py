@@ -531,7 +531,7 @@ class TestConsistencyFailure:
 
     @pytest.mark.parametrize("fmt", ["json", "tsv"])
     def test_witness_check(self, monkeypatch, fmt):
-        monkeypatch.setattr(oracle, "witness_check", lambda u, u_prime, witness, n: False)
+        monkeypatch.setattr(oracle, "witness_check", lambda source, target, witness: False)
         argv = ["witness-check", "--family", "fold-r", "--n", "3", "--m", "2", "--s", "1", "--r", "1"]
         code, text = _run_on_one_stream(argv + ["--format", fmt], "", monkeypatch)
         assert code == 4
@@ -549,10 +549,10 @@ class TestConsistencyFailure:
         # a certificate the program builds itself is not user input: a
         # broken one is an internal failure, found by witness_check
         def broken_witness(*args, **kwargs):
-            u, u_prime, (s, t) = builtin_witness(*args, **kwargs)
+            source, target, (s, t) = builtin_witness(*args, **kwargs)
             rows = s.to_rows()
             doubled = IntMatrix.from_rows([[2 * x for x in rows[0]]] + list(rows[1:]))
-            return u, u_prime, MonomialWitness(doubled, t)
+            return source, target, MonomialWitness(doubled, t)
 
         monkeypatch.setattr(oracle, "builtin_witness", broken_witness)
         argv = ["witness-check", "--family", "fold-r", "--n", "3", "--m", "2", "--s", "1", "--r", "1"]

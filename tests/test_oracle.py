@@ -4,7 +4,6 @@ import ast
 import hashlib
 import itertools
 import json
-import types
 from pathlib import Path
 
 import pytest
@@ -19,7 +18,6 @@ from qtoric.oracle import (
     MonomialWitness,
     builtin_witness,
     ring_iso_search,
-    weight_matrix,
     witness_check,
 )
 from qtoric.polyring import ideal_degree_lattice, substitute_linear
@@ -213,66 +211,102 @@ class TestRingSymmetries:
         assert cohomology_presentation(permuted) == cohomology_presentation(cp)
 
 
-def _certifies(s_rows, t_rows):
-    """``witness_check`` on a certificate whose identity s*u = u'*t holds by
-    construction (u = t, u' = s), so only its conditions on s and t decide;
-    n = 0 makes two blocks of one coordinate each, which may swap whole."""
+def _weights(cp):
+    """Rows of the weight matrix of ``cp``: row i holds the two circle
+    weights on moment-angle coordinate i."""
+    return tuple(zip(*kernel_span_vectors(cp)))
+
+
+def _times(x, y):
+    cols = list(zip(*y))
+    return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in x]
+
+
+# the product of two segments: weight rows (1, 0), (1, 0), (0, 1), (0, 1)
+_SQUARE = CharPair(1, 1, (0,), (0,))
+
+
+def _certifies(s_rows, t_rows, cp=_SQUARE):
+    """``witness_check`` on a certificate from ``cp`` to itself whose
+    identity s*u = u*t holds, so only its conditions on s and t decide."""
+    u = _weights(cp)
+    assert _times(s_rows, u) == _times(u, t_rows)
     s, t = IntMatrix.from_rows(s_rows), IntMatrix.from_rows(t_rows)
-    return witness_check(t, s, MonomialWitness(s, t), 0)
+    return witness_check(cp, cp, MonomialWitness(s, t))
 
 
 class TestMonomialWitness:
     def test_rejects_non_permutation_rows(self):
-        assert _certifies([[1, 1], [0, 1]], [[1, 0], [0, 1]]) is False
+        s = [[1, 0, 1, -1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+        assert _certifies(s, [[1, 0], [0, 1]]) is False
 
     def test_rejects_duplicate_columns(self):
-        assert _certifies([[1, 0], [1, 0]], [[1, 0], [0, 1]]) is False
+        s = [[1, 0, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+        assert _certifies(s, [[1, 0], [0, 1]]) is False
 
     def test_rejects_entry_magnitude(self):
-        assert _certifies([[2, 0], [0, 1]], [[1, 0], [0, 1]]) is False
+        s = [[2, -1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+        assert _certifies(s, [[1, 0], [0, 1]]) is False
 
     def test_rejects_singular_reparametrization(self):
-        assert _certifies([[1, 0], [0, 1]], [[1, 1], [1, 1]]) is False
+        # the weight columns are independent, so no signed permutation
+        # meets the identity through a singular t
+        w = MonomialWitness(_identity(4), IntMatrix.from_rows([[1, 1], [1, 1]]))
+        assert witness_check(_SQUARE, _SQUARE, w) is False
 
     def test_conjugation_allowed(self):
-        assert _certifies([[0, -1], [1, 0]], [[1, 1], [0, -1]]) is True
+        # the segment bundle (1, 1, (1,), (2,)) onto itself: swap the first
+        # block and conjugate the last coordinate
+        s = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]
+        assert _certifies(s, [[1, 2], [0, -1]], CharPair(1, 1, (1,), (2,))) is True
 
 
 class TestWitnessCheck:
     def test_identity_witness(self):
-        u = weight_matrix(CharPair(2, 1, (1,), (2, 0)))
+        cp = CharPair(2, 1, (1,), (2, 0))
         w = MonomialWitness(_identity(5), _identity(2))
-        assert witness_check(u, u, w, 2)
+        assert witness_check(cp, cp, w)
 
     def test_dimension_mismatch(self):
-        u = weight_matrix(CharPair(2, 1, (1,), (2, 0)))
-        v = weight_matrix(CharPair(3, 1, (1,), (2, 0, 0)))
+        p = CharPair(2, 1, (1,), (2, 0))
         w = MonomialWitness(_identity(5), _identity(2))
+        for other in (CharPair(3, 1, (1,), (2, 0, 0)), CharPair(1, 2, (1, 0), (2,))):
+            # pairs over different bases, even of one coordinate count
+            with pytest.raises(ValueError, match="same"):
+                witness_check(p, other, w)
         with pytest.raises(ValueError):
-            witness_check(u, v, w, 2)
+            witness_check(p, p, MonomialWitness(_identity(5), _identity(3)))
         with pytest.raises(ValueError):
-            witness_check(v, v, w, 3)
-        with pytest.raises(ValueError):
-            witness_check(u, u, MonomialWitness(_identity(5), _identity(3)), 2)
-        wide = IntMatrix.from_rows([row + (0,) for row in u.rows])
-        with pytest.raises(ValueError, match="weight matrices must have two columns"):
-            witness_check(wide, wide, w, 2)
-        for n in (-1, 4):
-            # n + 1 must leave both blocks nonempty
-            with pytest.raises(ValueError):
-                witness_check(u, u, w, n)
+            witness_check(p, p, MonomialWitness(_identity(4), _identity(2)))
 
     def test_non_square_signed_permutation(self):
-        u = weight_matrix(CharPair(2, 1, (1,), (2, 0)))
+        cp = CharPair(2, 1, (1,), (2, 0))
         s = IntMatrix.from_rows([row[:4] for row in _identity(5).to_rows()])
         with pytest.raises(ValueError):
-            witness_check(u, u, MonomialWitness(s, _identity(2)), 2)
+            witness_check(cp, cp, MonomialWitness(s, _identity(2)))
+
+    def test_ragged_certificate_rejected(self):
+        # a ragged s once passed, since only its first row's length was
+        # read: this one reads coordinate 2 twice, and its identity holds
+        # between two pairs of different classes
+        p = CharPair(1, 1, (-2,), (-1,))
+        q = CharPair(1, 1, (-1,), (0,))
+        assert homeomorphic(p, q) == (False, "bott-vs-nonbott-ring")
+        s = IntMatrix(((0, 0, 1, 0), (0, 0, 1, 0), (0, 1, 0, 0), (-1,)))
+        t = IntMatrix(((-2, 1), (-1, 1)))
+        with pytest.raises(ValueError, match="square of the coordinate count"):
+            witness_check(p, q, MonomialWitness(s, t))
+        long_row = IntMatrix(_identity(4).rows[:3] + ((0, 0, 0, 1, 0),))
+        with pytest.raises(ValueError, match="square of the coordinate count"):
+            witness_check(p, p, MonomialWitness(long_row, _identity(2)))
+        for ragged_t in (((1, 0), (0,)), ((1, 0), (0, 1, 0))):
+            with pytest.raises(ValueError, match="2x2"):
+                witness_check(p, p, MonomialWitness(_identity(4), IntMatrix(ragged_t)))
 
     def test_wrong_witness_fails(self):
-        u = weight_matrix(CharPair(2, 1, (1,), (2, 0)))
-        v = weight_matrix(CharPair(2, 1, (1,), (2, 2)))
+        p, q = CharPair(2, 1, (1,), (2, 0)), CharPair(2, 1, (1,), (2, 2))
         w = MonomialWitness(_identity(5), _identity(2))
-        assert not witness_check(u, v, w, 2)
+        assert not witness_check(p, q, w)
 
     def test_rejects_certificate_mixing_the_factors(self):
         # not homeomorphic, yet s is a signed permutation, det t = 1 and
@@ -284,81 +318,47 @@ class TestWitnessCheck:
         rows = [[0] * 5 for _ in range(5)]
         for i, (j, sign) in enumerate(zip((2, 4, 0, 1, 3), (1, -1, 1, 1, -1))):
             rows[i][j] = sign
-        s, t = IntMatrix.from_rows(rows), IntMatrix.from_rows([[0, -1], [1, -1]])
-        u, u_prime = weight_matrix(p), weight_matrix(q)
-
-        def times(x, y):
-            cols = list(zip(*y.to_rows()))
-            return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in x.to_rows()]
-
-        assert times(s, u) == times(u_prime, t)
-        assert not witness_check(u, u_prime, MonomialWitness(s, t), 1)
+        t_rows = [[0, -1], [1, -1]]
+        assert _times(rows, _weights(p)) == _times(_weights(q), t_rows)
+        w = MonomialWitness(IntMatrix.from_rows(rows), IntMatrix.from_rows(t_rows))
+        assert not witness_check(p, q, w)
 
     def test_blocks_of_one_size_may_swap_whole(self):
         cp = CharPair(2, 2, (1, 0), (2, 0))
-        u, u_prime = weight_matrix(cp), weight_matrix(swapped(cp))
         swap = IntMatrix.from_rows([[int(j == (i + 3) % 6) for j in range(6)] for i in range(6)])
         w = MonomialWitness(swap, IntMatrix.from_rows([[0, 1], [1, 0]]))
-        assert witness_check(u, u_prime, w, 2)
-        # the same permutation read with blocks of sizes 2 and 4 mixes them
-        assert not witness_check(u, u_prime, w, 1)
+        assert witness_check(cp, swapped(cp), w)
         # over a square base, moving one coordinate to the other block is no
         # swap, even where the identity holds: rows 0 and 2 are equal here
-        v = weight_matrix(CharPair(1, 1, (1,), (1,)))
+        square = CharPair(1, 1, (1,), (1,))
         s = IntMatrix.from_rows([[0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]])
-        assert v.to_rows()[0] == v.to_rows()[2]
-        assert not witness_check(v, v, MonomialWitness(s, _identity(2)), 1)
-
-
-class TestWeightMatrix:
-    def test_rows_follow_twist_entries(self):
-        u = weight_matrix(CharPair(2, 1, (1,), (2, 0)))
-        assert u.to_rows() == ((1, 2), (1, 0), (1, 0), (1, 1), (0, 1))
-
-    def test_columns_span_kernel(self):
-        cp = CharPair(3, 2, (2, 0), (1, 1, 0))
-        u, v = kernel_span_vectors(cp)
-        mat = weight_matrix(cp)
-        assert tuple(row[0] for row in mat.to_rows()) == u
-        assert tuple(row[1] for row in mat.to_rows()) == v
+        assert _weights(square)[0] == _weights(square)[2]
+        assert not witness_check(square, square, MonomialWitness(s, _identity(2)))
 
 
 class TestBuiltinWitness:
     def test_repeat_fill_documented_case(self):
-        u, u2, w = builtin_witness("repeat-fill", n=2, a=1, b=2)
-        assert u.to_rows() == ((1, 2), (1, 0), (1, 0), (1, 1), (0, 1))
-        assert witness_check(u, u2, w, 2)
+        source, target, w = builtin_witness("repeat-fill", n=2, a=1, b=2)
+        assert (source, target) == (CharPair(2, 1, (1,), (2, 0)), CharPair(2, 1, (1,), (2, 2)))
+        assert _weights(source) == ((1, 2), (1, 0), (1, 0), (1, 1), (0, 1))
+        assert witness_check(source, target, w)
 
     def test_repeat_fill_other_orientation(self):
-        u, u2, w = builtin_witness("repeat-fill", n=2, a=2, b=1)
-        assert witness_check(u, u2, w, 2)
+        assert witness_check(*builtin_witness("repeat-fill", n=2, a=2, b=1))
 
     def test_fold_r_documented_case(self):
-        u, u2, w = builtin_witness("fold-r", n=3, m=2, s=1, r=1)
-        assert witness_check(u, u2, w, 3)
+        source, target, w = builtin_witness("fold-r", n=3, m=2, s=1, r=1)
+        assert target == CharPair(3, 2, (2, 0), (1, 1, 1))
+        assert witness_check(source, target, w)
         assert w.t == IntMatrix.from_rows([[1, 1], [0, -1]])
         # callers read every part of a certificate through to_rows()
-        assert all(isinstance(x, IntMatrix) for x in (u, u2, w.s, w.t))
+        assert all(isinstance(x, IntMatrix) for x in (w.s, w.t))
 
     def test_fold_s_documented_case(self):
-        u, u2, w = builtin_witness("fold-s", n=2, m=3, s=1, r=1)
-        assert witness_check(u, u2, w, 2)
+        source, target, w = builtin_witness("fold-s", n=2, m=3, s=1, r=1)
+        assert target == CharPair(2, 3, (2, 2, 2), (1, 0))
+        assert witness_check(source, target, w)
         assert w.t == IntMatrix.from_rows([[-1, 0], [2, 1]])
-
-    def test_repeat_fill_grid(self):
-        for n in range(1, 6):
-            for a, b in ((1, 2), (2, 1), (-1, -2), (-2, -1)):
-                u, u2, w = builtin_witness("repeat-fill", n=n, a=a, b=b)
-                assert witness_check(u, u2, w, n)
-
-    def test_fold_grids(self):
-        for family in ("fold-r", "fold-s"):
-            for n in range(1, 5):
-                for m in range(1, 5):
-                    for s in range(1, m + 1):
-                        for r in range(1, n + 1):
-                            u, u2, w = builtin_witness(family, n=n, m=m, s=s, r=r)
-                            assert witness_check(u, u2, w, n)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -391,18 +391,9 @@ def test_search_agrees_with_direct_check(n, m, g11, g12):
     assert _ideals_match_through(p, q, verdict.matrix.to_rows(), dmax)
 
 
-def _global_names(code):
-    """Names a code object and the code nested in it look up."""
-    names = set(code.co_names)
-    for const in code.co_consts:
-        if isinstance(const, types.CodeType):
-            names |= _global_names(const)
-    return names
-
-
 def test_oracles_stay_independent_of_the_closed_form():
     # an oracle that leans on the closed form it checks would agree with it
-    # by construction
+    # by construction; tests/test_package.py follows each oracle's calls
     imported = set()
     for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
         if isinstance(node, ast.ImportFrom) and node.module:
@@ -410,4 +401,3 @@ def test_oracles_stay_independent_of_the_closed_form():
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             imported.update(alias.name for alias in node.names)
     assert not any("classify" in name.split(".") for name in imported)
-    assert "validate" not in _global_names(quasitoric.validate_bruteforce.__code__)

@@ -178,12 +178,84 @@ def test_package_import_loads_no_layer():
         (["validate"], "qtoric.classify"),
         (["kernel"], "qtoric.classify"),
         (["cohomology"], "qtoric.classify"),
+        (["enumerate", "--n", "2", "--m", "2", "--bound", "2"], "qtoric.oracle"),
+        (["witness-check", "--family", "fold-r", "--n", "2", "--m", "1", "--s", "1", "--r", "1"],
+         "qtoric.classify"),
     ],
     ids=lambda v: v[0] if isinstance(v, list) else v,
 )
 def test_command_loads_only_its_layers(argv, absent):
     loaded = _loaded(_STARTUP, *argv).split()
     assert "qtoric.cli" in loaded and absent not in loaded
+
+
+def _call_graph():
+    """Each definition of the package, as "layer.name", mapped to the
+    package definitions it reads by name.  A name a module imports from a
+    sibling is a definition that reads the imported one, so reach follows
+    names across modules.  Annotations count: a method called on a value is
+    reached through the class its annotated type names."""
+    graph = {}
+    for path in Path(qtoric.__file__).parent.glob("*.py"):
+        module, tree = path.stem, ast.parse(path.read_text())
+        scope = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                # the package imports names, never sibling modules, which
+                # the graph would not follow
+                assert node.module, (module, [a.name for a in node.names])
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    scope[local] = module + "." + local
+                    graph[module + "." + local] = {node.module + "." + alias.name}
+        bodies = {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            else:
+                names = [t.id for t in getattr(node, "targets", ()) if isinstance(t, ast.Name)]
+            for name in names:
+                scope[name] = module + "." + name
+                bodies[name] = node
+        for name, node in bodies.items():
+            graph[module + "." + name] = {
+                scope[n.id] for n in ast.walk(node) if isinstance(n, ast.Name) and n.id in scope
+            }
+    return graph
+
+
+def _reach(graph, start):
+    seen, todo = set(), [start]
+    while todo:
+        for name in graph.get(todo.pop(), ()):
+            if name not in seen:
+                seen.add(name)
+                todo.append(name)
+    return seen
+
+
+# each oracle, and what it must never reach: an oracle that leans on the
+# closed form it checks agrees with it by construction.  A name ending in
+# "." stands for every definition of that layer.
+_ORACLES = {
+    "quasitoric.validate_bruteforce": ("quasitoric.validate", "quasitoric.normalize"),
+    "oracle.ring_iso_search": ("classify.", "quasitoric.normalize", "quasitoric.validate"),
+    "oracle.witness_check": ("classify.", "quasitoric.normalize", "quasitoric.validate"),
+    "quasitoric.kernel_lattice": ("quasitoric.kernel_span_vectors",),
+}
+
+
+@pytest.mark.parametrize("oracle", sorted(_ORACLES))
+def test_oracle_reaches_no_closed_form_it_checks(oracle):
+    graph = _call_graph()
+    reached = _reach(graph, oracle)
+    # the graph follows imports: each oracle reaches the lattice layer
+    assert any(name.startswith("lattice.") for name in reached)
+    banned = _ORACLES[oracle]
+    assert sorted(
+        name for name in reached
+        if name in banned or any(b.endswith(".") and name.startswith(b) for b in banned)
+    ) == []
 
 
 def test_unknown_name_is_rejected_without_loading_a_layer():
